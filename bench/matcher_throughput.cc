@@ -1,7 +1,8 @@
 // Full-dataset matching throughput on Restaurant (the CLI `match` /
-// `learn --match` scenario): the per-pair operator-tree path vs the
-// value-store compiled path (eval/value_store.h), with token blocking
-// and over the exhaustive cross product, at one worker thread.
+// `learn --match` scenario): GenerateLinks (the value-store compiled
+// path, eval/value_store.h) vs a per-pair operator-tree join that calls
+// LinkageRule::Evaluate on the same candidates, with token blocking and
+// over the exhaustive cross product, at one worker thread.
 //
 // Doubles as a CI gate: the two paths must produce bit-identical link
 // sets (ids, scores and order); any divergence exits non-zero.
@@ -11,6 +12,7 @@
 // `extra.speedup_vs_operator_tree` the machine-independent ratio the
 // tentpole is judged by (>= 5x at 1 thread on the blocking config).
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -30,7 +32,7 @@ namespace {
 struct PathMeasurement {
   std::string system;
   bool use_blocking = true;
-  bool use_value_store = true;
+  bool operator_tree = false;
   double seconds = 0.0;
   size_t pairs = 0;
   std::vector<GeneratedLink> links;
@@ -55,6 +57,40 @@ LinkageRule MatchRule() {
     std::exit(1);
   }
   return std::move(rule).value();
+}
+
+// The operator-tree reference: LinkageRule::Evaluate per candidate pair
+// over the blocking candidates (index built per call, as GenerateLinks
+// does) or the cross product, with GenerateLinks' self-join dedup
+// (id_a < id_b), threshold and link order (score desc, id_a, id_b).
+std::vector<GeneratedLink> OperatorTreeLinks(const LinkageRule& rule,
+                                             const Dataset& data,
+                                             bool use_blocking) {
+  const double threshold = MatchOptions().threshold;
+  std::vector<GeneratedLink> links;
+  auto consider = [&](const Entity& a, const Entity& b) {
+    if (a.id() >= b.id()) return;
+    const double score = rule.Evaluate(a, b, data.schema(), data.schema());
+    if (score >= threshold) links.push_back({a.id(), b.id(), score});
+  };
+  if (use_blocking) {
+    TokenBlockingIndex index(data, TargetProperties(rule));
+    for (const Entity& a : data.entities()) {
+      for (size_t j : index.Candidates(a, data.schema())) {
+        consider(a, data.entity(j));
+      }
+    }
+  } else {
+    for (const Entity& a : data.entities()) {
+      for (const Entity& b : data.entities()) consider(a, b);
+    }
+  }
+  std::sort(links.begin(), links.end(), [](const auto& x, const auto& y) {
+    if (x.score != y.score) return x.score > y.score;
+    if (x.id_a != y.id_a) return x.id_a < y.id_a;
+    return x.id_b < y.id_b;
+  });
+  return links;
 }
 
 bool SameLinks(const std::vector<GeneratedLink>& x,
@@ -95,21 +131,22 @@ int main() {
   // millisecond-long join are too noisy for the CI ratio gate.
   const size_t reps = 3;
   std::vector<PathMeasurement> runs = {
-      {"matcher/operator-tree/blocking", true, false},
-      {"matcher/value-store/blocking", true, true},
-      {"matcher/operator-tree/cross", false, false},
-      {"matcher/value-store/cross", false, true},
+      {"matcher/operator-tree/blocking", true, true, 0.0, 0, {}},
+      {"matcher/value-store/blocking", true, false, 0.0, 0, {}},
+      {"matcher/operator-tree/cross", false, true, 0.0, 0, {}},
+      {"matcher/value-store/cross", false, false, 0.0, 0, {}},
   };
   for (PathMeasurement& run : runs) {
     MatchOptions options;
     options.use_blocking = run.use_blocking;
-    options.use_value_store = run.use_value_store;
     options.num_threads = 1;
     run.pairs = run.use_blocking ? blocked_pairs : cross_pairs;
     double best = 0.0;
     for (size_t r = 0; r < reps; ++r) {
       auto start = std::chrono::steady_clock::now();
-      auto links = GenerateLinks(rule, task.a, task.a, options);
+      auto links = run.operator_tree
+                       ? OperatorTreeLinks(rule, task.a, run.use_blocking)
+                       : GenerateLinks(rule, task.a, task.a, options);
       double elapsed = std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)
                            .count();
@@ -136,7 +173,7 @@ int main() {
 
   auto operator_tree_seconds = [&](bool use_blocking) {
     for (const PathMeasurement& run : runs) {
-      if (run.use_blocking == use_blocking && !run.use_value_store) {
+      if (run.use_blocking == use_blocking && run.operator_tree) {
         return run.seconds;
       }
     }
@@ -168,7 +205,7 @@ int main() {
 
   for (bool blocking : {true, false}) {
     for (const PathMeasurement& run : runs) {
-      if (run.use_blocking == blocking && run.use_value_store &&
+      if (run.use_blocking == blocking && !run.operator_tree &&
           run.seconds > 0.0) {
         std::printf("value-store speedup (%s): %.2fx\n",
                     blocking ? "blocking" : "cross",

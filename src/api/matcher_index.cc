@@ -80,8 +80,8 @@ struct MatcherIndex::Corpus {
   /// the value store. Immutable, so none of its state needs the mutex.
   std::shared_ptr<const MappedCorpus> mapped;
   mutable WriterPriorityMutex mutex;
-  /// Null when use_value_store is off. The pointer itself is set once
-  /// at Build before the corpus is shared; the pointee is guarded.
+  /// Null for a mapped corpus. The pointer itself is set once at Build
+  /// before the corpus is shared; the pointee is guarded.
   std::unique_ptr<ValueStore> store GENLINK_PT_GUARDED_BY(mutex);
   /// Blocking indexes over `target`, keyed by the (sorted) property
   /// list they index plus the option knobs that change the postings
@@ -118,6 +118,7 @@ MatcherIndex::MatcherIndex(std::shared_ptr<Corpus> corpus, LinkageRule rule,
                            MatchOptions options)
     : corpus_(std::move(corpus)),
       rule_(std::move(rule)),
+      program_(rule_),
       options_(options) {}
 
 MatcherIndex::~MatcherIndex() = default;
@@ -129,9 +130,7 @@ std::shared_ptr<const MatcherIndex> MatcherIndex::Build(
   corpus->source = &source;
   corpus->target = &target;
   corpus->pool = std::make_unique<ThreadPool>(options.num_threads);
-  if (options.use_value_store) {
-    corpus->store = std::make_unique<ValueStore>(source, target);
-  }
+  corpus->store = std::make_unique<ValueStore>(source, target);
   std::shared_ptr<MatcherIndex> index(
       new MatcherIndex(corpus, rule.Clone(), options));
   const auto start = std::chrono::steady_clock::now();
@@ -149,15 +148,13 @@ std::shared_ptr<const MatcherIndex> MatcherIndex::Build(
   auto corpus = std::make_shared<Corpus>();
   corpus->target = &target;
   corpus->pool = std::make_unique<ThreadPool>(options.num_threads);
-  if (options.use_value_store) {
-    // No bound source: the store's source side stays empty (source
-    // plans register with zero entities), queries evaluate their own
-    // values through the query scorer.
-    const std::vector<const Entity*> target_pointers = DatasetPointers(target);
-    corpus->store = std::make_unique<ValueStore>(
-        std::span<const Entity* const>{}, target.schema(),
-        std::span<const Entity* const>(target_pointers), target.schema());
-  }
+  // No bound source: the store's source side stays empty (source plans
+  // register with zero entities), queries evaluate their own values
+  // through the query scorer.
+  const std::vector<const Entity*> target_pointers = DatasetPointers(target);
+  corpus->store = std::make_unique<ValueStore>(
+      std::span<const Entity* const>{}, target.schema(),
+      std::span<const Entity* const>(target_pointers), target.schema());
   std::shared_ptr<MatcherIndex> index(
       new MatcherIndex(corpus, rule.Clone(), options));
   const auto start = std::chrono::steady_clock::now();
@@ -180,11 +177,6 @@ Result<std::shared_ptr<const MatcherIndex>> MatcherIndex::Build(
         "MatcherIndex::Build: a mapped corpus cannot serve the empty rule "
         "(there is nothing to score)");
   }
-  if (!options.use_value_store) {
-    return Status::InvalidArgument(
-        "MatcherIndex::Build: a mapped corpus IS the value store; "
-        "use_value_store=false is not servable from an artifact");
-  }
   auto shared = std::make_shared<Corpus>();
   shared->mapped = std::move(corpus);
   shared->pool = std::make_unique<ThreadPool>(options.num_threads);
@@ -204,8 +196,6 @@ Status MatcherIndex::CompileLocked() {
   // Declared in the header, where Corpus is incomplete, so the writer
   // requirement is asserted rather than spelled as GENLINK_REQUIRES.
   corpus.mutex.AssertWriterHeld();
-  query_ready_ = false;
-  reader_ = nullptr;
   if (corpus.mapped != nullptr) return CompileMappedLocked();
   if (options_.use_blocking) {
     std::vector<std::string> properties = TargetProperties(rule_);
@@ -229,43 +219,14 @@ Status MatcherIndex::CompileLocked() {
     }
     blocking_ = slot;
   }
-  if (corpus.store == nullptr || rule_.empty()) return Status::Ok();
 
   // Full-join scoring over store-resident pairs. Compiles both sides'
   // value subtrees into the shared store; a WithRule generation only
   // pays for subtrees no earlier rule materialized.
   compiled_ = std::make_unique<CompiledRule>(rule_, *corpus.store,
                                              corpus.pool.get());
-
-  // Query scorer: the same comparison sites in the same pre-order, but
-  // with the source side evaluated per query entity. Target plans are
-  // re-requested from the store (all hits against compiled_'s batch);
-  // distinct source subtrees collapse to one evaluation slot.
-  RuleHashInfo info = AnalyzeRule(rule_);
-  std::vector<const ValueOperator*> target_ops;
-  target_ops.reserve(info.comparisons.size());
-  for (const ComparisonSite& site : info.comparisons) {
-    target_ops.push_back(site.op->target());
-  }
-  std::vector<PlanId> target_plans(target_ops.size());
-  corpus.store->CompileBatch(ValueStore::Side::kTarget, target_ops,
-                             target_plans, corpus.pool.get());
-
-  query_ops_.clear();
-  query_sites_.clear();
-  query_sites_.reserve(info.comparisons.size());
-  std::unordered_map<uint64_t, uint32_t> slot_by_hash;
-  for (size_t k = 0; k < info.comparisons.size(); ++k) {
-    const ValueOperator* source_op = info.comparisons[k].op->source();
-    auto [it, inserted] = slot_by_hash.try_emplace(
-        ValueOperatorHash(*source_op),
-        static_cast<uint32_t>(query_ops_.size()));
-    if (inserted) query_ops_.push_back(source_op);
-    query_sites_.push_back(
-        {info.comparisons[k].op, it->second, target_plans[k]});
-  }
   reader_ = corpus.store.get();
-  query_ready_ = true;
+  BindQuerySites(compiled_->target_plans());
   return Status::Ok();
 }
 
@@ -306,18 +267,14 @@ Status MatcherIndex::CompileMappedLocked() {
                                                      mapped.blocking());
   }
 
-  // Query scorer over precomputed plans: every target-side value
-  // subtree must resolve to a plan the artifact carries. The directory
-  // is keyed by the cross-process-stable hash (rule/rule_hash.h) — the
-  // in-process ValueOperatorHash mixes function-instance pointers and
-  // would never match a file written by another process. A miss means
-  // the artifact predates this rule.
-  const RuleHashInfo info = AnalyzeRule(rule_);
-  query_ops_.clear();
-  query_sites_.clear();
-  query_sites_.reserve(info.comparisons.size());
-  std::unordered_map<uint64_t, uint32_t> slot_by_hash;
-  for (const ComparisonSite& site : info.comparisons) {
+  // Every target-side value subtree must resolve to a plan the artifact
+  // carries. The directory is keyed by the cross-process-stable hash
+  // (rule/rule_hash.h) — the in-process ValueOperatorHash mixes
+  // function-instance pointers and would never match a file written by
+  // another process. A miss means the artifact predates this rule.
+  std::vector<PlanId> target_plans;
+  target_plans.reserve(program_.sites().size());
+  for (const RuleProgram::Site& site : program_.sites()) {
     const std::optional<PlanId> plan =
         mapped.FindPlan(ValueReader::Side::kTarget,
                         StableValueOperatorHash(*site.op->target()));
@@ -327,15 +284,25 @@ Status MatcherIndex::CompileMappedLocked() {
           "' has no precomputed value plan for a target-side subtree of "
           "this rule; re-run `genlink index` with the new rule");
     }
-    const ValueOperator* source_op = site.op->source();
+    target_plans.push_back(*plan);
+  }
+  reader_ = &mapped;
+  BindQuerySites(target_plans);
+  return Status::Ok();
+}
+
+void MatcherIndex::BindQuerySites(std::span<const uint32_t> target_plans) {
+  // The source side is evaluated per query entity; distinct source
+  // subtrees collapse to one evaluation slot.
+  query_sites_.reserve(program_.sites().size());
+  std::unordered_map<uint64_t, uint32_t> slot_by_hash;
+  for (size_t k = 0; k < program_.sites().size(); ++k) {
+    const ValueOperator* source_op = program_.sites()[k].op->source();
     auto [it, inserted] = slot_by_hash.try_emplace(
         ValueOperatorHash(*source_op), static_cast<uint32_t>(query_ops_.size()));
     if (inserted) query_ops_.push_back(source_op);
-    query_sites_.push_back({site.op, it->second, *plan});
+    query_sites_.push_back({it->second, target_plans[k]});
   }
-  reader_ = &mapped;
-  query_ready_ = true;
-  return Status::Ok();
 }
 
 std::shared_ptr<const MatcherIndex> MatcherIndex::WithRule(
@@ -354,11 +321,9 @@ std::shared_ptr<const MatcherIndex> MatcherIndex::WithRule(
 Result<std::shared_ptr<const MatcherIndex>> MatcherIndex::TryWithRule(
     const LinkageRule& rule, const MatchOptions& options) const {
   MatchOptions next_options = options;
-  // Corpus-lifetime properties cannot change per generation: the pool
-  // was sized at Build, and the value store either exists for this
-  // corpus or does not (header contract).
+  // The pool is corpus-lifetime state, sized once at Build (header
+  // contract).
   next_options.num_threads = options_.num_threads;
-  next_options.use_value_store = options_.use_value_store;
   if (corpus_->mapped != nullptr && rule.empty()) {
     return Status::InvalidArgument(
         "TryWithRule: a mapped corpus cannot serve the empty rule");
@@ -388,44 +353,31 @@ void MatcherIndex::EvaluateQueryOps(const Entity& entity, const Schema& schema,
   }
 }
 
-double MatcherIndex::QueryNode(const SimilarityOperator& node,
-                               const QueryValues& qv, size_t target_index,
-                               size_t& next_site) const {
+double MatcherIndex::QueryScore(const QueryValues& qv,
+                                size_t target_index) const {
   // May run on a pool worker (MatchBatch/MatchDataset tasks) while the
   // dispatching frame holds the reader lock; free in release builds.
   corpus_->mutex.AssertReaderHeld();
-  if (node.kind() == OperatorKind::kComparison) {
-    const QuerySite& site = query_sites_[next_site++];
-    const ComparisonOperator& cmp = *site.op;
+  return Score(program_, [&](size_t site, double threshold) {
+    const QuerySite& query_site = query_sites_[site];
     const std::vector<std::string_view>& source_views =
-        qv.views[site.source_slot];
+        qv.views[query_site.source_slot];
     const std::span<const ValueId> target_values = reader_->Values(
-        ValueReader::Side::kTarget, site.target_plan, target_index);
-    double distance;
+        ValueReader::Side::kTarget, query_site.target_plan, target_index);
+    // PairDistance's empty-side convention: similarity 0.
     if (source_views.empty() || target_values.empty()) {
-      // PairDistance's empty-side convention: similarity 0.
-      distance = kInfiniteDistance;
-    } else {
-      thread_local std::vector<std::string_view> scratch;
-      scratch.clear();
-      for (ValueId id : target_values) {
-        scratch.push_back(reader_->View(id));
-      }
-      // As in CompiledRule::EvalNode, the comparison threshold doubles
-      // as the distance bound; DistanceViews is bit-identical to the
-      // TokenIdDistance path PairDistance takes for set measures
-      // (distance/distance_measure.h).
-      distance = cmp.measure()->DistanceViews(
-          source_views, std::span<const std::string_view>(scratch),
-          cmp.threshold());
+      return kInfiniteDistance;
     }
-    return ThresholdedScore(distance, cmp.threshold());
-  }
-  const auto& agg = static_cast<const AggregationOperator&>(node);
-  return AggregateOperandScores(
-      *agg.function(), agg.operands(), [&](const SimilarityOperator& op) {
-        return QueryNode(op, qv, target_index, next_site);
-      });
+    thread_local std::vector<std::string_view> scratch;
+    scratch.clear();
+    for (ValueId id : target_values) scratch.push_back(reader_->View(id));
+    // As in CompiledRule::Score, the comparison threshold doubles as the
+    // distance bound; DistanceViews is bit-identical to the
+    // TokenIdDistance path PairDistance takes for set measures
+    // (distance/distance_measure.h).
+    return program_.sites()[site].op->measure()->DistanceViews(
+        source_views, std::span<const std::string_view>(scratch), threshold);
+  });
 }
 
 std::vector<GeneratedLink> MatcherIndex::MatchEntityUnlocked(
@@ -444,24 +396,14 @@ std::vector<GeneratedLink> MatcherIndex::MatchEntityUnlocked(
   const bool skip_own_id =
       corpus_->source == nullptr || corpus_->source == corpus_->target;
   QueryValues qv;
-  if (query_ready_) EvaluateQueryOps(entity, schema, qv);
+  EvaluateQueryOps(entity, schema, qv);
 
   std::vector<GeneratedLink> links;
   auto consider = [&](size_t j) {
     if (dead != nullptr && dead[j] != 0) return;
     const std::string_view id_b = corpus_->target_id(j);
     if (skip_own_id && id_b == entity.id()) return;
-    double score;
-    if (query_ready_) {
-      size_t next_site = 0;
-      score = QueryNode(*rule_.root(), qv, j, next_site);
-    } else {
-      // Raw-evaluation fallback (value store off or empty rule). Only
-      // reachable with a dataset-backed corpus: mapped builds always
-      // compile a query scorer (Build contract).
-      score = rule_.Evaluate(entity, corpus_->target->entity(j), schema,
-                             corpus_->target->schema());
-    }
+    const double score = QueryScore(qv, j);
     if (score >= options_.threshold) {
       links.push_back({entity.id(), std::string(id_b), score});
     }
@@ -602,8 +544,7 @@ std::vector<GeneratedLink> MatcherIndex::MatchDataset(
   // Store-resident scoring needs the store's source-side plans, which
   // only the bound source dataset has; any other dataset goes through
   // the (bit-identical) query scorer.
-  const bool bound = compiled_ != nullptr && &source == corpus_->source;
-  const bool query_scorer = query_ready_ && !bound;
+  const bool bound = &source == corpus_->source;
 
   corpus_->pool->ParallelFor(source.size(), [&](size_t i) {
     // The one-shot CLI's SIGINT path: a fired token skips the
@@ -611,23 +552,12 @@ std::vector<GeneratedLink> MatcherIndex::MatchDataset(
     if (options_.cancel != nullptr && options_.cancel->Cancelled()) return;
     const Entity& ea = source.entity(i);
     QueryValues qv;
-    if (query_scorer) EvaluateQueryOps(ea, source.schema(), qv);
+    if (!bound) EvaluateQueryOps(ea, source.schema(), qv);
     std::vector<GeneratedLink> local;
     auto consider = [&](size_t j) {
       const std::string_view id_b = corpus_->target_id(j);
       if (self_join && ea.id() >= id_b) return;  // dedup: each pair once
-      double score;
-      if (bound) {
-        score = compiled_->Score(i, j);
-      } else if (query_scorer) {
-        size_t next_site = 0;
-        score = QueryNode(*rule_.root(), qv, j, next_site);
-      } else {
-        // Raw fallback; never reached for a mapped corpus (which always
-        // compiles the query scorer).
-        score = rule_.Evaluate(ea, corpus_->target->entity(j), source.schema(),
-                               corpus_->target->schema());
-      }
+      const double score = bound ? compiled_->Score(i, j) : QueryScore(qv, j);
       if (score >= options_.threshold) {
         local.push_back({ea.id(), std::string(id_b), score});
       }

@@ -2,7 +2,7 @@
 // session.
 //
 // The paper's Definition 3 treats link generation as a one-shot batch
-// (M_l = {(a,b) : l(a,b) >= 0.5}), and matcher/matcher.h mirrors that:
+// (M_l = {(a,b) : l(a,b) >= 0.5}), and matcher/matcher.h keeps that shape:
 // GenerateLinks rebuilds the token-blocking index and the compiled
 // value store on every call. A production deployment has the opposite
 // shape — build the expensive artifacts once, then answer many cheap
@@ -27,11 +27,13 @@
 //     MatchDataset; asserted by tests/api_test.cc).
 //
 // Scores from every surface are bit-identical to
-// LinkageRule::Evaluate on the same entity pair: the target side reads
-// interned value spans, the query side evaluates each distinct source
-// value subtree once per query, and both feed the same
-// DistanceMeasure surfaces the one-shot matcher uses (see
-// distance/distance_measure.h for the bit-identity contract).
+// LinkageRule::Evaluate on the same entity pair: every surface runs the
+// rule's one compiled program (rule/rule_program.h), the target side
+// reads interned value spans, the query side evaluates each distinct
+// source value subtree once per query, and both feed the same
+// DistanceMeasure surfaces (see distance/distance_measure.h for the
+// bit-identity contract; tests/rule_oracle_test.cc holds every surface
+// to the spec).
 //
 // Lifetimes and hot swap: a MatcherIndex is immutable after Build and
 // safe to query from any number of threads. The dataset(s) passed to
@@ -62,6 +64,7 @@
 #include "common/status.h"
 #include "matcher/matcher.h"
 #include "rule/linkage_rule.h"
+#include "rule/rule_program.h"
 
 namespace genlink {
 
@@ -88,8 +91,7 @@ struct MatcherIndexStats {
   /// balance view of a sharded index (empty when blocking is off).
   std::vector<BlockingShardStats> blocking_shard_stats;
   /// Transform plans materialized in the shared value store, summed
-  /// over all rules compiled against this corpus (0 when the value
-  /// store is off).
+  /// over all rules compiled against this corpus.
   size_t value_plans = 0;
   /// Approximate bytes held by the shared value store.
   size_t store_bytes = 0;
@@ -129,8 +131,7 @@ class MatcherIndex {
   /// when the rule needs a value plan the artifact did not precompute,
   /// or when options request a blocking configuration (properties,
   /// max-tokens, min-df, shards) the artifact does not carry — re-run
-  /// `genlink index`. The rule must be non-empty and use_value_store
-  /// must stay on (a mapped corpus IS the value store).
+  /// `genlink index`. The rule must be non-empty.
   static Result<std::shared_ptr<const MatcherIndex>> Build(
       std::shared_ptr<const MappedCorpus> corpus, const LinkageRule& rule,
       const MatchOptions& options = {});
@@ -218,11 +219,9 @@ class MatcherIndex {
   /// WithRule with new per-query options — the artifact-reload shape
   /// (serve/serving_state.h), where a redeployed artifact may change
   /// the threshold, best-match mode or blocking knobs along with the
-  /// rule. Corpus-lifetime properties are pinned to this index's
-  /// values: num_threads (the shared pool is built once) and
-  /// use_value_store (the store either exists for this corpus or does
-  /// not). A changed blocking configuration compiles a new index into
-  /// the shared per-corpus cache.
+  /// rule. num_threads is pinned to this index's value: the shared pool
+  /// is built once per corpus. A changed blocking configuration compiles
+  /// a new index into the shared per-corpus cache.
   std::shared_ptr<const MatcherIndex> WithRule(const LinkageRule& rule,
                                                const MatchOptions& options) const;
 
@@ -258,13 +257,12 @@ class MatcherIndex {
   /// hierarchy is documented in docs/CONCURRENCY.md.
   struct Corpus;
 
-  /// One comparison of rule_ as seen by the query scorer: source side
-  /// from the query entity's pre-evaluated values, target side from the
-  /// store plan.
+  /// One site of program_ as seen by the query scorer: source side
+  /// from the query entity's pre-evaluated values, target side from a
+  /// plan of reader_.
   struct QuerySite {
-    const ComparisonOperator* op = nullptr;
     uint32_t source_slot = 0;  // into query_ops_
-    uint32_t target_plan = 0;  // PlanId in the corpus store
+    uint32_t target_plan = 0;  // PlanId in reader_
   };
 
   MatcherIndex(std::shared_ptr<Corpus> corpus, LinkageRule rule,
@@ -279,15 +277,17 @@ class MatcherIndex {
   /// The mapped-corpus arm of CompileLocked: resolves plans from the
   /// artifact and borrows its blocking postings instead of building.
   Status CompileMappedLocked();
+  /// Builds the query scorer's sites from each program site's target
+  /// plan in reader_ (both compile arms end here).
+  void BindQuerySites(std::span<const uint32_t> target_plans);
 
   /// Pre-evaluated source-side values of one query entity.
   struct QueryValues;
   void EvaluateQueryOps(const Entity& entity, const Schema& schema,
                         QueryValues& out) const;
-  /// Mirror of CompiledRule::EvalNode with the source side read from
-  /// `qv` instead of store plans.
-  double QueryNode(const SimilarityOperator& node, const QueryValues& qv,
-                   size_t target_index, size_t& next_site) const;
+  /// program_'s score of (query, target_index), the query's source
+  /// values read from `qv` and the target's from reader_.
+  double QueryScore(const QueryValues& qv, size_t target_index) const;
 
   /// MatchEntity body; caller holds the corpus read lock. When
   /// `candidates` is non-null it is the precomputed sorted-unique
@@ -305,6 +305,9 @@ class MatcherIndex {
 
   std::shared_ptr<Corpus> corpus_;
   LinkageRule rule_;
+  /// rule_ compiled once (rule/rule_program.h); every query path scores
+  /// through it.
+  RuleProgram program_;
   MatchOptions options_;
 
   /// Blocking index over the target side for rule_'s target properties
@@ -314,23 +317,18 @@ class MatcherIndex {
   /// is false.
   std::shared_ptr<const BlockingIndex> blocking_;
   /// Compiled scoring for store-resident entity pairs (the full-join
-  /// path); null when the value store is off or the rule is empty.
+  /// path); null for a mapped corpus.
   std::unique_ptr<CompiledRule> compiled_;
 
   /// Distinct source-side value subtrees of rule_ (deduplicated by
-  /// ValueOperatorHash) and the per-comparison sites of the query
-  /// scorer, in pre-order. Empty when the value store is off.
+  /// ValueOperatorHash) and the query scorer's view of each program
+  /// site, in site order.
   std::vector<const ValueOperator*> query_ops_;
   std::vector<QuerySite> query_sites_;
 
   /// The target-side read surface the query scorer consumes — the
-  /// corpus value store or the mapped corpus. Set by CompileLocked;
-  /// null when the value store is off.
+  /// corpus value store or the mapped corpus. Set by CompileLocked.
   const ValueReader* reader_ = nullptr;
-  /// True when query_sites_/reader_ are usable (replaces the old
-  /// `compiled_ != nullptr` gate: a mapped corpus compiles the query
-  /// scorer without a CompiledRule).
-  bool query_ready_ = false;
 
   double build_seconds_ = 0.0;
 };

@@ -5,38 +5,9 @@
 
 #include "distance/distance_measure.h"
 #include "eval/confusion_matrix.h"
+#include "rule/rule_program.h"
 
 namespace genlink {
-namespace {
-
-// Mirrors SimilarityOperator::Evaluate with the raw distance of each
-// comparison read from its cached row. The aggregation arithmetic is
-// literally shared (AggregateOperandScores, rule/operators.h) and
-// thresholding is the same ThresholdedScore call, so the result is
-// bit-identical to the uncached path.
-//
-// `rows` holds one distance row per comparison of the rule, in the
-// pre-order RuleHashInfo::comparisons uses; this walk visits the
-// comparisons in the same pre-order, so `next_row` pairs each
-// comparison with its row by position — no per-pair map lookup in the
-// hot loop. The caller resets `next_row` to 0 for every pair.
-double EvalNode(const SimilarityOperator& node, size_t pair_index,
-                std::span<const std::vector<double>* const> rows,
-                size_t& next_row) {
-  if (node.kind() == OperatorKind::kComparison) {
-    const auto& cmp = static_cast<const ComparisonOperator&>(node);
-    assert(next_row < rows.size());
-    const std::vector<double>& row = *rows[next_row++];
-    return ThresholdedScore(row[pair_index], cmp.threshold());
-  }
-  const auto& agg = static_cast<const AggregationOperator&>(node);
-  return AggregateOperandScores(
-      *agg.function(), agg.operands(), [&](const SimilarityOperator& op) {
-        return EvalNode(op, pair_index, rows, next_row);
-      });
-}
-
-}  // namespace
 
 const FitnessResult* FitnessCache::Find(uint64_t hash) const {
   auto it = entries_.find(hash);
@@ -53,8 +24,6 @@ EvaluationEngine::EvaluationEngine(std::span<const LabeledPair> pairs,
                                    const Schema& schema_b,
                                    FitnessConfig fitness, EngineConfig config)
     : pairs_(pairs),
-      schema_a_(&schema_a),
-      schema_b_(&schema_b),
       fitness_config_(fitness),
       config_(config),
       serial_(pairs, schema_a, schema_b, fitness),
@@ -62,7 +31,7 @@ EvaluationEngine::EvaluationEngine(std::span<const LabeledPair> pairs,
       fitness_cache_(config.max_fitness_entries) {
   // The value store only serves the distance-row phase; without the
   // distance cache the engine is a pure-recompute baseline.
-  if (config_.use_value_store && config_.cache_distances) {
+  if (config_.cache_distances) {
     // Map each training pair to dense per-side entity indexes: pairs
     // share entities heavily (every entity appears in several labelled
     // pairs), and plans are evaluated per *entity*, not per pair.
@@ -85,21 +54,6 @@ EvaluationEngine::EvaluationEngine(std::span<const LabeledPair> pairs,
   }
 }
 
-void EvaluationEngine::FillDistanceRow(const ComparisonOperator& op,
-                                       std::vector<double>& row) const {
-  row.resize(pairs_.size());
-  ValueSet scratch_a, scratch_b;
-  for (size_t p = 0; p < pairs_.size(); ++p) {
-    const LabeledPair& pair = pairs_[p];
-    const ValueSet& va = op.source()->EvaluateRef(*pair.a, *schema_a_, scratch_a);
-    const ValueSet& vb = op.target()->EvaluateRef(*pair.b, *schema_b_, scratch_b);
-    // Empty sets are stored as an infinite distance: ThresholdedScore
-    // maps it to 0.0, exactly the serial path's empty-set short-circuit.
-    row[p] = (va.empty() || vb.empty()) ? kInfiniteDistance
-                                        : op.measure()->Distance(va, vb);
-  }
-}
-
 void EvaluationEngine::FillDistanceRowFromStore(const ComparisonOperator& op,
                                                 PlanId source_plan,
                                                 PlanId target_plan,
@@ -117,12 +71,17 @@ void EvaluationEngine::FillDistanceRowFromStore(const ComparisonOperator& op,
 ConfusionMatrix EvaluationEngine::EvaluateWithRows(
     const LinkageRule& rule,
     std::span<const std::vector<double>* const> rows) const {
+  // `rows` and the program's sites share AnalyzeRule's pre-order, so
+  // site k reads row k. Empty value sets are cached as an infinite
+  // distance, which ThresholdedScore maps to the spec's 0.0.
+  const RuleProgram program(rule);
+  assert(program.sites().size() == rows.size());
   ConfusionMatrix cm;
   for (size_t p = 0; p < pairs_.size(); ++p) {
-    size_t next_row = 0;
-    bool predicted =
-        !rule.empty() &&
-        EvalNode(*rule.root(), p, rows, next_row) >= kMatchThreshold;
+    const bool predicted =
+        Score(program, [&](size_t site, double /*threshold*/) {
+          return (*rows[site])[p];
+        }) >= kMatchThreshold;
     if (pairs_[p].is_match) {
       predicted ? ++cm.tp : ++cm.fn;
     } else {
@@ -247,7 +206,7 @@ void EvaluationEngine::EvaluateBatch(std::span<const LinkageRule* const> rules,
     // serially (deterministic ids).
     std::vector<PlanId> source_plans(new_sigs.size());
     std::vector<PlanId> target_plans(new_sigs.size());
-    if (store_ != nullptr && !new_sigs.empty()) {
+    if (!new_sigs.empty()) {
       if (store_->ApproxBytes() > config_.max_store_bytes) store_->Clear();
       std::vector<const ValueOperator*> source_ops, target_ops;
       source_ops.reserve(new_reps.size());
@@ -273,12 +232,8 @@ void EvaluationEngine::EvaluateBatch(std::span<const LinkageRule* const> rules,
       new_rows[k] = &distance_rows_[new_sigs[k]];
     }
     pool_.ParallelFor(new_sigs.size(), [&](size_t k) {
-      if (store_ != nullptr) {
-        FillDistanceRowFromStore(*new_reps[k], source_plans[k],
-                                 target_plans[k], *new_rows[k]);
-      } else {
-        FillDistanceRow(*new_reps[k], *new_rows[k]);
-      }
+      FillDistanceRowFromStore(*new_reps[k], source_plans[k], target_plans[k],
+                               *new_rows[k]);
     });
     stats_.distance_rows_computed += new_sigs.size();
 
@@ -288,8 +243,8 @@ void EvaluationEngine::EvaluateBatch(std::span<const LinkageRule* const> rules,
     // and never touch `distance_rows_` itself. Each rule is scored by
     // one task with a serial in-order pass over the pairs
     // (deterministic reduction); rows are resolved once per rule, in
-    // the comparisons' pre-order, so the per-pair walk consumes them by
-    // position.
+    // the comparisons' pre-order, so the rule's program reads site k
+    // from row k.
     std::vector<std::vector<const std::vector<double>*>> rule_rows(
         pending.size());
     for (size_t k = 0; k < pending.size(); ++k) {

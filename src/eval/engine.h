@@ -30,8 +30,9 @@
 //     a raw distance is the same double whether recomputed or cached
 //     (empty value sets are stored as kInfiniteDistance, which
 //     ThresholdedScore maps to the same 0.0 score the serial
-//     short-circuit produces), and aggregation visits operands in tree
-//     order either way.
+//     short-circuit produces), and the rule's program
+//     (rule/rule_program.h) hands every aggregation the same operand
+//     scores and weights the operator tree does.
 //   * Results are independent of the thread count: each distance row
 //     and each rule is filled by exactly one task, caches are only
 //     written in the serial phases, and no reduction crosses a task
@@ -73,13 +74,10 @@ struct EngineConfig {
   size_t num_threads = 0;
   /// Memoize whole-rule FitnessResults by canonical hash.
   bool cache_fitness = true;
-  /// Precompute per-pair raw distances by comparison signature.
+  /// Precompute per-pair raw distances by comparison signature. Cold
+  /// rows are computed from the value store (eval/value_store.h); off,
+  /// every rule is scored by the serial FitnessEvaluator.
   bool cache_distances = true;
-  /// Compile value subtrees into per-entity transform plans and compute
-  /// cold distance rows from interned values (eval/value_store.h).
-  /// Results are bit-identical either way; off only for A/B
-  /// measurements. Only effective together with cache_distances.
-  bool use_value_store = true;
   /// Fitness memo entry bound; the memo is cleared when exceeded.
   size_t max_fitness_entries = 1 << 18;
   /// Approximate byte budget for distance rows; rows are cleared between
@@ -191,26 +189,21 @@ class EvaluationEngine {
   };
 
   /// Fills `row` (sized to pairs_) with the raw distance of every pair
-  /// under the comparison's measure and value subtrees.
-  void FillDistanceRow(const ComparisonOperator& op,
-                       std::vector<double>& row) const;
-
-  /// Same contract, reading interned per-entity values from the value
-  /// store instead of evaluating the subtrees per pair.
+  /// under the comparison's measure and value subtrees, reading
+  /// interned per-entity values from the value store.
   void FillDistanceRowFromStore(const ComparisonOperator& op,
                                 PlanId source_plan, PlanId target_plan,
                                 std::vector<double>& row) const;
 
   /// Evaluates one rule using cached distance rows only (no string
-  /// distance is computed). `rows` holds the rule's comparison rows in
-  /// the pre-order of RuleHashInfo::comparisons.
+  /// distance is computed): the rule's program (rule/rule_program.h)
+  /// with site k reading rows[k]. `rows` holds the rule's comparison
+  /// rows in the pre-order of RuleHashInfo::comparisons.
   ConfusionMatrix EvaluateWithRows(
       const LinkageRule& rule,
       std::span<const std::vector<double>* const> rows) const;
 
   std::span<const LabeledPair> pairs_;
-  const Schema* schema_a_;
-  const Schema* schema_b_;
   FitnessConfig fitness_config_;
   EngineConfig config_;
   FitnessEvaluator serial_;
@@ -227,7 +220,8 @@ class EvaluationEngine {
   /// row written by exactly one task.
   std::unordered_map<uint64_t, std::vector<double>> distance_rows_
       GENLINK_GUARDED_BY(serial_phase_);
-  /// Per-entity transform plans + interned values (null when disabled).
+  /// Per-entity transform plans + interned values (null without the
+  /// distance cache, which is its only consumer).
   /// Mutated only by CompileBatch in the serial phase 2b; frozen and
   /// read-shared during the parallel row fill (docs/CONCURRENCY.md).
   std::unique_ptr<ValueStore> store_;

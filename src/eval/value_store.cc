@@ -251,55 +251,32 @@ void ValueStore::Clear() {
 
 CompiledRule::CompiledRule(const LinkageRule& rule, ValueStore& store,
                            ThreadPool* pool)
-    : root_(rule.root()), store_(&store) {
-  if (root_ == nullptr) return;
-  RuleHashInfo info = AnalyzeRule(rule);
-
+    : program_(rule), store_(&store) {
+  if (program_.empty()) return;
   std::vector<const ValueOperator*> source_ops, target_ops;
-  source_ops.reserve(info.comparisons.size());
-  target_ops.reserve(info.comparisons.size());
-  for (const ComparisonSite& site : info.comparisons) {
+  source_ops.reserve(program_.sites().size());
+  target_ops.reserve(program_.sites().size());
+  for (const RuleProgram::Site& site : program_.sites()) {
     source_ops.push_back(site.op->source());
     target_ops.push_back(site.op->target());
   }
-  std::vector<PlanId> source_plans(source_ops.size());
-  std::vector<PlanId> target_plans(target_ops.size());
-  store.CompileBatch(ValueStore::Side::kSource, source_ops, source_plans, pool);
-  store.CompileBatch(ValueStore::Side::kTarget, target_ops, target_plans, pool);
-
-  sites_.reserve(info.comparisons.size());
-  for (size_t k = 0; k < info.comparisons.size(); ++k) {
-    sites_.push_back(
-        {info.comparisons[k].op, source_plans[k], target_plans[k]});
-  }
-}
-
-double CompiledRule::EvalNode(const SimilarityOperator& node,
-                              size_t source_entity, size_t target_entity,
-                              size_t& next_site) const {
-  if (node.kind() == OperatorKind::kComparison) {
-    assert(next_site < sites_.size());
-    const Site& site = sites_[next_site++];
-    const ComparisonOperator& cmp = *site.op;
-    // The threshold doubles as the distance bound: every distance the
-    // score can distinguish (d <= θ) is exact, everything beyond maps
-    // to similarity 0 either way.
-    const double distance =
-        store_->PairDistance(*cmp.measure(), site.source_plan, source_entity,
-                             site.target_plan, target_entity, cmp.threshold());
-    return ThresholdedScore(distance, cmp.threshold());
-  }
-  const auto& agg = static_cast<const AggregationOperator&>(node);
-  return AggregateOperandScores(
-      *agg.function(), agg.operands(), [&](const SimilarityOperator& op) {
-        return EvalNode(op, source_entity, target_entity, next_site);
-      });
+  source_plans_.resize(source_ops.size());
+  target_plans_.resize(target_ops.size());
+  store.CompileBatch(ValueStore::Side::kSource, source_ops, source_plans_,
+                     pool);
+  store.CompileBatch(ValueStore::Side::kTarget, target_ops, target_plans_,
+                     pool);
 }
 
 double CompiledRule::Score(size_t source_entity, size_t target_entity) const {
-  if (root_ == nullptr) return 0.0;
-  size_t next_site = 0;
-  return EvalNode(*root_, source_entity, target_entity, next_site);
+  return genlink::Score(program_, [&](size_t site, double threshold) {
+    // The threshold doubles as the distance bound: every distance the
+    // score can distinguish (d <= θ) is exact, everything beyond maps
+    // to similarity 0 either way.
+    return store_->PairDistance(*program_.sites()[site].op->measure(),
+                                source_plans_[site], source_entity,
+                                target_plans_[site], target_entity, threshold);
+  });
 }
 
 }  // namespace genlink

@@ -22,8 +22,8 @@
 // of the callers (plan registration order x entity order fixes every
 // id), raw transform evaluation may run on a thread pool but each plan
 // is produced by exactly one task, and every distance computed from the
-// store is bit-identical to the ValueSet path (asserted by
-// tests/engine_test.cc and tests/matcher_test.cc; see
+// store is bit-identical to the ValueSet path (asserted against
+// LinkageRule::Evaluate by tests/rule_oracle_test.cc; see
 // distance/distance_measure.h for the per-measure contract).
 
 #ifndef GENLINK_EVAL_VALUE_STORE_H_
@@ -40,6 +40,7 @@
 #include "common/thread_pool.h"
 #include "model/dataset.h"
 #include "rule/linkage_rule.h"
+#include "rule/rule_program.h"
 
 namespace genlink {
 
@@ -232,38 +233,37 @@ class ValueStore final : public ValueReader {
   ValueStoreStats stats_;
 };
 
-/// A linkage rule bound to a value store: every comparison's value
-/// subtrees compiled to plans, scoring a pair of store entity indexes
-/// without evaluating a single value operator. Scores are bit-identical
-/// to LinkageRule::Evaluate on the same entities (comparisons run with
+/// A linkage rule bound to a value store: the rule's program
+/// (rule/rule_program.h) with every comparison site's value subtrees
+/// compiled to plans, scoring a pair of store entity indexes without
+/// evaluating a single value operator. Scores are bit-identical to
+/// LinkageRule::Evaluate on the same entities (comparisons run with
 /// their threshold as the distance bound, which cannot change any
-/// ThresholdedScore). Used by the matcher's full-dataset path.
+/// ThresholdedScore). Used by the matcher's full-dataset path and, for
+/// its plan registration order, by the corpus artifact writer.
 class CompiledRule {
  public:
   /// Compiles `rule`'s value subtrees into `store` (serial; `pool`
-  /// parallelizes raw plan evaluation). Both must outlive this object.
+  /// parallelizes raw plan evaluation): every site's source subtree,
+  /// then every site's target subtree, in site order. That order fixes
+  /// the store's ValueIds, which the corpus artifact writer and the
+  /// serving build share through it. `rule` and `store` must outlive
+  /// this object.
   CompiledRule(const LinkageRule& rule, ValueStore& store,
                ThreadPool* pool = nullptr);
 
-  bool empty() const { return root_ == nullptr; }
+  /// Target-side plan of each program site, in site order.
+  const std::vector<PlanId>& target_plans() const { return target_plans_; }
 
   /// Similarity in [0,1] of (source_entity, target_entity); 0 for the
   /// empty rule. Thread-safe (read-only over the store).
   double Score(size_t source_entity, size_t target_entity) const;
 
  private:
-  struct Site {
-    const ComparisonOperator* op = nullptr;
-    PlanId source_plan = 0;
-    PlanId target_plan = 0;
-  };
-
-  double EvalNode(const SimilarityOperator& node, size_t source_entity,
-                  size_t target_entity, size_t& next_site) const;
-
-  const SimilarityOperator* root_ = nullptr;
+  RuleProgram program_;
   const ValueStore* store_ = nullptr;
-  std::vector<Site> sites_;  // pre-order of the rule's comparisons
+  std::vector<PlanId> source_plans_;  // per program site
+  std::vector<PlanId> target_plans_;  // per program site
 };
 
 }  // namespace genlink

@@ -68,10 +68,6 @@ struct GenLinkConfig {
   /// Precompute per-pair raw distances per comparison signature (see
   /// eval/engine.h). Off only for A/B measurements.
   bool cache_distances = true;
-  /// Compile value subtrees into per-entity transform plans when
-  /// filling cold distance rows (see eval/value_store.h). Bit-identical
-  /// results either way; off only for A/B measurements.
-  bool use_value_store = true;
 
   /// ---- Island model (gp/islands.h; an extension beyond Algorithm 1,
   /// off by default). Number of independent populations, each of

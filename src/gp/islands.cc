@@ -62,7 +62,6 @@ Result<SearchSetup> PrepareSearch(const Dataset& a, const Dataset& b,
   engine_config.num_threads = config.num_threads;
   engine_config.cache_fitness = config.cache_fitness;
   engine_config.cache_distances = config.cache_distances;
-  engine_config.use_value_store = config.use_value_store;
   setup.engine = std::make_unique<EvaluationEngine>(
       setup.train_pairs, a.schema(), b.schema(), config.fitness, engine_config);
 

@@ -39,8 +39,6 @@ std::string WriteRuleArtifact(const RuleArtifact& artifact,
   out += "threshold: " + FormatDoubleExact(artifact.options.threshold) + "\n";
   out += "use-blocking: ";
   out += artifact.options.use_blocking ? '1' : '0';
-  out += "\nuse-value-store: ";
-  out += artifact.options.use_value_store ? '1' : '0';
   out += "\nbest-match-only: ";
   out += artifact.options.best_match_only ? '1' : '0';
   out += "\nrule-format: ";
@@ -117,9 +115,16 @@ Result<RuleArtifact> ReadRuleArtifact(std::string_view text) {
       if (!flag.ok()) return flag.status();
       artifact.options.use_blocking = *flag;
     } else if (key == "use-value-store") {
+      // Written by older builds, where 0 selected a per-pair execution
+      // path that no longer exists. 1 is what every build executes.
       auto flag = ParseBoolValue(key, value);
       if (!flag.ok()) return flag.status();
-      artifact.options.use_value_store = *flag;
+      if (!*flag) {
+        return Status::ParseError(
+            "artifact: 'use-value-store: 0' is no longer supported (rules "
+            "always execute over the value store); remove the line or set "
+            "it to 1");
+      }
     } else if (key == "best-match-only") {
       auto flag = ParseBoolValue(key, value);
       if (!flag.ok()) return flag.status();

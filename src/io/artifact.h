@@ -10,7 +10,6 @@
 //   name: restaurant-dedup            (optional free-text label)
 //   threshold: 0.5
 //   use-blocking: 1
-//   use-value-store: 1
 //   best-match-only: 0
 //   rule-format: xml                  (or: sexpr)
 //   ---
@@ -18,6 +17,9 @@
 //
 // Header keys may appear in any order; unknown keys and unknown
 // versions are errors (the version line is how v2 gets room to grow).
+// Artifacts from older builds may also carry `use-value-store: 1`,
+// which is accepted and ignored; `use-value-store: 0` named an
+// execution path that no longer exists and is rejected.
 // The rule payload after the `---` separator reuses the existing rule
 // serializations verbatim: Silk-style XML (rule/xml.h) or the
 // s-expression form (rule/serialize.h, rule/parse.h). num_threads is

@@ -298,10 +298,6 @@ Status WriteCorpusArtifact(const std::string& path, const Dataset& target,
     return Status::InvalidArgument(
         "corpus artifact: cannot index an empty rule (no value plans)");
   }
-  if (!options.use_value_store) {
-    return Status::InvalidArgument(
-        "corpus artifact: use_value_store=false has nothing to persist");
-  }
 
   // Serving-shape value store, exactly as MatcherIndex::Build(target,
   // rule, options) constructs it: empty source side, CompiledRule

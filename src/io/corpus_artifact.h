@@ -95,9 +95,8 @@ struct CorpusArtifactStats {
 /// value plans into a serving-shape value store, builds the blocking
 /// postings for the rule's target properties under the options'
 /// blocking knobs (skipped when options.use_blocking is false), and
-/// serializes both. Fails on an empty rule or when
-/// options.use_value_store is false — a corpus artifact IS the value
-/// store. `pool` parallelizes plan evaluation.
+/// serializes both. Fails on an empty rule (there is no value plan to
+/// persist). `pool` parallelizes plan evaluation.
 Status WriteCorpusArtifact(const std::string& path, const Dataset& target,
                            const LinkageRule& rule, const MatchOptions& options,
                            ThreadPool* pool = nullptr,

@@ -28,12 +28,13 @@ namespace genlink {
 
 /// One upserted entity as the live layer stores it: the record itself
 /// (under the corpus schema), its target-side value sets evaluated once
-/// per comparison site of the deployed rule (in pre-order — the same
-/// site order the query scorer walks), and its blocking keys. All
+/// per comparison site of the deployed rule's program
+/// (rule/rule_program.h — the same site order every scorer uses), and
+/// its blocking keys. All
 /// immutable once appended; a rule swap re-appends into a fresh log.
 struct DeltaEntry {
   Entity entity;
-  /// site_values[k] = rule comparison site k's target subtree evaluated
+  /// site_values[k] = program site k's target subtree evaluated
   /// on `entity`; scoring feeds these to DistanceViews exactly as the
   /// base index feeds interned store spans, which is what keeps delta
   /// scores bit-identical to a fresh build.

@@ -10,6 +10,7 @@
 #include "io/corpus_artifact.h"
 #include "matcher/blocking.h"
 #include "rule/operators.h"
+#include "rule/rule_program.h"
 #include "text/case_fold.h"
 #include "text/tokenizer.h"
 
@@ -21,29 +22,21 @@ double Elapsed(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Pre-order comparison sites of a rule — the SAME walk order as the
-/// scoring recursion below and as MatcherIndex's query sites, which is
-/// what lets site index k name one comparison in both places.
-void CollectSites(const SimilarityOperator& node,
-                  std::vector<const ComparisonOperator*>& out) {
-  if (node.kind() == OperatorKind::kComparison) {
-    out.push_back(static_cast<const ComparisonOperator*>(&node));
-    return;
-  }
-  const auto& agg = static_cast<const AggregationOperator&>(node);
-  for (const auto& operand : agg.operands()) CollectSites(*operand, out);
-}
-
 }  // namespace
 
 /// The deployed rule compiled for the delta side: the rule tree (the
 /// snapshot owns its clone — base index, delta scorer and delta entries
-/// must agree on operator identity), its comparison sites in pre-order,
-/// and the target-side property names delta blocking keys come from.
-struct LiveCorpus::RuleProgram {
-  LinkageRule rule;
-  std::vector<const ComparisonOperator*> sites;
-  std::vector<std::string> blocking_properties;
+/// must agree on operator identity), its program, and the target-side
+/// property names delta blocking keys come from.
+struct LiveCorpus::Deployment {
+  explicit Deployment(const LinkageRule& deployed)
+      : rule(deployed.Clone()),
+        program(rule),
+        blocking_properties(TargetProperties(rule)) {}
+
+  const LinkageRule rule;
+  const RuleProgram program;  // over `rule`
+  const std::vector<std::string> blocking_properties;
 };
 
 /// One published, immutable epoch: everything a query needs, reachable
@@ -71,55 +64,11 @@ struct LiveCorpus::Snapshot {
   /// iteration order never reaches output.
   std::shared_ptr<const std::unordered_map<std::string, std::vector<uint32_t>>>
       postings;
-  std::shared_ptr<const RuleProgram> program;
+  std::shared_ptr<const Deployment> deployment;
   /// The user's options: threshold and best_match_only applied to the
   /// merged links.
   MatchOptions options;
 };
-
-namespace {
-
-/// Scores one delta entry against a query entity: the delta-side mirror
-/// of MatcherIndex::QueryNode. The target side reads the entry's
-/// pre-evaluated site values instead of interned store spans — same
-/// bytes, same multiset order, same DistanceViews call with the
-/// comparison threshold as bound, same empty-side convention — so delta
-/// scores are bit-identical to what a fresh build would compute for the
-/// same pair (the correctness gate of this subsystem).
-double ScoreDeltaNode(const SimilarityOperator& node,
-                      const std::vector<const ComparisonOperator*>& sites,
-                      const std::vector<ValueSet>& query_values,
-                      const DeltaEntry& entry, size_t& next_site) {
-  if (node.kind() == OperatorKind::kComparison) {
-    const size_t k = next_site++;
-    const ComparisonOperator& cmp = *sites[k];
-    const ValueSet& source = query_values[k];
-    const ValueSet& target = entry.site_values[k];
-    double distance;
-    if (source.empty() || target.empty()) {
-      // PairDistance's empty-side convention: similarity 0.
-      distance = kInfiniteDistance;
-    } else {
-      thread_local std::vector<std::string_view> source_views;
-      thread_local std::vector<std::string_view> target_views;
-      source_views.clear();
-      target_views.clear();
-      for (const std::string& value : source) source_views.push_back(value);
-      for (const std::string& value : target) target_views.push_back(value);
-      distance = cmp.measure()->DistanceViews(
-          std::span<const std::string_view>(source_views),
-          std::span<const std::string_view>(target_views), cmp.threshold());
-    }
-    return ThresholdedScore(distance, cmp.threshold());
-  }
-  const auto& agg = static_cast<const AggregationOperator&>(node);
-  return AggregateOperandScores(
-      *agg.function(), agg.operands(), [&](const SimilarityOperator& op) {
-        return ScoreDeltaNode(op, sites, query_values, entry, next_site);
-      });
-}
-
-}  // namespace
 
 LiveCorpus::LiveCorpus() = default;
 LiveCorpus::~LiveCorpus() = default;
@@ -158,10 +107,7 @@ Result<std::unique_ptr<LiveCorpus>> LiveCorpus::CreateImpl(
     const LinkageRule& rule, const MatchOptions& options,
     const LiveCorpusOptions& live_options) {
   GENLINK_RETURN_IF_ERROR(ValidateConfig(rule, options));
-  auto program = std::make_shared<RuleProgram>();
-  program->rule = rule.Clone();
-  CollectSites(*program->rule.root(), program->sites);
-  program->blocking_properties = TargetProperties(program->rule);
+  auto deployment = std::make_shared<const Deployment>(rule);
 
   std::unique_ptr<LiveCorpus> live(new LiveCorpus());
   live->mapped_ = mapped;
@@ -171,11 +117,11 @@ Result<std::unique_ptr<LiveCorpus>> LiveCorpus::CreateImpl(
   WriterMutexLock lock(live->mutex_);
   live->user_options_ = options;
   live->user_options_.cancel = nullptr;
-  live->program_ = program;
+  live->deployment_ = deployment;
   if (mapped != nullptr) {
     live->schema_ = mapped->schema();
     auto built =
-        MatcherIndex::Build(mapped, program->rule, BaseOptions(options));
+        MatcherIndex::Build(mapped, deployment->rule, BaseOptions(options));
     if (!built.ok()) return built.status();
     live->base_index_ = std::move(built).value();
     live->base_dead_.assign(mapped->size(), 0);
@@ -191,7 +137,7 @@ Result<std::unique_ptr<LiveCorpus>> LiveCorpus::CreateImpl(
     auto owned = std::make_shared<const Dataset>(*base);
     live->base_data_ = owned;
     live->base_index_ =
-        MatcherIndex::Build(*owned, program->rule, BaseOptions(options));
+        MatcherIndex::Build(*owned, deployment->rule, BaseOptions(options));
     live->base_dead_.assign(owned->size(), 0);
     for (size_t i = 0; i < owned->size(); ++i) {
       live->locations_[owned->entity(i).id()] =
@@ -247,16 +193,17 @@ Result<Entity> LiveCorpus::RemapEntity(const Entity& entity,
 }
 
 DeltaEntry LiveCorpus::BuildDeltaEntry(Entity entity,
-                                       const RuleProgram& program,
+                                       const Deployment& deployment,
                                        bool use_blocking) const {
+  const std::vector<RuleProgram::Site>& sites = deployment.program.sites();
   DeltaEntry entry;
-  entry.site_values.resize(program.sites.size());
-  for (size_t k = 0; k < program.sites.size(); ++k) {
-    entry.site_values[k] = program.sites[k]->target()->Evaluate(entity, schema_);
+  entry.site_values.resize(sites.size());
+  for (size_t k = 0; k < sites.size(); ++k) {
+    entry.site_values[k] = sites[k].op->target()->Evaluate(entity, schema_);
   }
   if (use_blocking) {
     entry.tokens =
-        EntityBlockingKeys(entity, schema_, program.blocking_properties);
+        EntityBlockingKeys(entity, schema_, deployment.blocking_properties);
   }
   entry.entity = std::move(entity);
   entry.approx_bytes = ApproxDeltaEntryBytes(entry);
@@ -323,7 +270,7 @@ Status LiveCorpus::ApplyBatchLocked(std::span<const LiveOp> ops,
       const bool replaces = locations_.find(op.id) != locations_.end();
       KillLocked(op.id);
       DeltaEntry entry =
-          BuildDeltaEntry(std::move(op.entity), *program_,
+          BuildDeltaEntry(std::move(op.entity), *deployment_,
                           user_options_.use_blocking);
       delta_bytes_ += entry.approx_bytes;
       const size_t slot = delta_.Append(std::move(entry));
@@ -415,13 +362,13 @@ Status LiveCorpus::CompactLocked(const std::string* artifact_path) {
   // the delta log intact. The atomic writer guarantees no torn file and
   // no stray temp file at the destination either way.
   if (artifact_path != nullptr) {
-    GENLINK_RETURN_IF_ERROR(WriteCorpusArtifact(
-        *artifact_path, *logical, program_->rule, BaseOptions(user_options_),
-        pool_.get()));
+    GENLINK_RETURN_IF_ERROR(
+        WriteCorpusArtifact(*artifact_path, *logical, deployment_->rule,
+                            BaseOptions(user_options_), pool_.get()));
   }
   auto owned = std::make_shared<const Dataset>(std::move(logical).value());
-  base_index_ =
-      MatcherIndex::Build(*owned, program_->rule, BaseOptions(user_options_));
+  base_index_ = MatcherIndex::Build(*owned, deployment_->rule,
+                                    BaseOptions(user_options_));
   base_data_ = owned;
   base_dead_.assign(owned->size(), 0);
   delta_.Reset();
@@ -453,23 +400,20 @@ Status LiveCorpus::CompactTo(const std::string& artifact_path) {
 Status LiveCorpus::DeployRule(const LinkageRule& rule,
                               const MatchOptions& options) {
   GENLINK_RETURN_IF_ERROR(ValidateConfig(rule, options));
-  auto program = std::make_shared<RuleProgram>();
-  program->rule = rule.Clone();
-  CollectSites(*program->rule.root(), program->sites);
-  program->blocking_properties = TargetProperties(program->rule);
+  auto deployment = std::make_shared<const Deployment>(rule);
 
   WriterMutexLock lock(mutex_);
   // Rebuild the base index first — over a mapped base this can fail
   // (artifact missing the new rule's plans), and then nothing may
   // change: the old rule keeps serving.
-  auto built = base_index_->TryWithRule(program->rule, BaseOptions(options));
+  auto built =
+      base_index_->TryWithRule(deployment->rule, BaseOptions(options));
   if (!built.ok()) return built.status();
 
   MatchOptions next = options;
   next.cancel = nullptr;
-  // Corpus-lifetime knobs stay pinned, as with TryWithRule itself.
+  // The pool is corpus-lifetime state, as with TryWithRule itself.
   next.num_threads = user_options_.num_threads;
-  next.use_value_store = user_options_.use_value_store;
 
   // Re-evaluate the live delta entries under the new rule into a fresh
   // log (site values and blocking keys are rule-dependent). Dead
@@ -481,7 +425,7 @@ Status LiveCorpus::DeployRule(const LinkageRule& rule,
   for (size_t slot = 0; slot < delta_.size(); ++slot) {
     if (delta_dead_[slot] != 0) continue;
     DeltaEntry entry = BuildDeltaEntry(Entity(delta_.entry(slot).entity),
-                                       *program, next.use_blocking);
+                                       *deployment, next.use_blocking);
     fresh_bytes += entry.approx_bytes;
     const size_t fresh_slot = fresh.Append(std::move(entry));
     fresh_dead.push_back(0);
@@ -489,7 +433,7 @@ Status LiveCorpus::DeployRule(const LinkageRule& rule,
         Location{Location::Where::kDelta, static_cast<uint32_t>(fresh_slot)};
   }
   base_index_ = std::move(built).value();
-  program_ = program;
+  deployment_ = deployment;
   user_options_ = next;
   delta_ = std::move(fresh);
   delta_dead_ = std::move(fresh_dead);
@@ -521,7 +465,7 @@ void LiveCorpus::PublishLocked() {
     snap->postings = std::move(postings);
   }
   snap->delta_live = std::move(live);
-  snap->program = program_;
+  snap->deployment = deployment_;
   snap->options = user_options_;
   std::atomic_store(&snapshot_, std::shared_ptr<const Snapshot>(snap));
 }
@@ -542,10 +486,13 @@ std::vector<GeneratedLink> LiveCorpus::MatchOne(const Snapshot& snap,
 
   // Delta side. Query source values evaluated once per site (same bytes
   // the fresh-build query scorer would feed each comparison).
-  const RuleProgram& program = *snap.program;
-  std::vector<ValueSet> query_values(program.sites.size());
-  for (size_t k = 0; k < program.sites.size(); ++k) {
-    query_values[k] = program.sites[k]->source()->Evaluate(entity, schema);
+  const RuleProgram& program = snap.deployment->program;
+  const std::vector<RuleProgram::Site>& sites = program.sites();
+  std::vector<ValueSet> query_values(sites.size());
+  std::vector<std::vector<std::string_view>> query_views(sites.size());
+  for (size_t k = 0; k < sites.size(); ++k) {
+    query_values[k] = sites[k].op->source()->Evaluate(entity, schema);
+    query_views[k].assign(query_values[k].begin(), query_values[k].end());
   }
 
   // Candidates: probe the delta postings with the tokens of every
@@ -581,9 +528,22 @@ std::vector<GeneratedLink> LiveCorpus::MatchOne(const Snapshot& snap,
     // Serving-only semantics, as on the base side: a record is never
     // its own duplicate.
     if (entry.entity.id() == entity.id()) continue;
-    size_t next_site = 0;
-    const double score = ScoreDeltaNode(*program.rule.root(), program.sites,
-                                        query_values, entry, next_site);
+    // The target side reads the entry's pre-evaluated site values
+    // instead of interned store spans — same bytes, same multiset
+    // order, same DistanceViews call with the threshold as bound, same
+    // empty-side convention — so delta scores are bit-identical to a
+    // fresh build's for the same pair.
+    const double score = Score(program, [&](size_t site, double threshold) {
+      const ValueSet& target = entry.site_values[site];
+      if (query_views[site].empty() || target.empty()) {
+        return kInfiniteDistance;
+      }
+      thread_local std::vector<std::string_view> target_views;
+      target_views.assign(target.begin(), target.end());
+      return sites[site].op->measure()->DistanceViews(
+          query_views[site], std::span<const std::string_view>(target_views),
+          threshold);
+    });
     if (score >= snap.options.threshold) {
       links.push_back({entity.id(), entry.entity.id(), score});
     }

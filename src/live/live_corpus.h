@@ -190,8 +190,8 @@ class LiveCorpus {
   /// and re-evaluates every live delta entry under the new rule, then
   /// publishes one new epoch. On failure (e.g. a mapped artifact
   /// missing the new rule's plans) the previous rule keeps serving
-  /// untouched. num_threads and use_value_store stay pinned to their
-  /// Create-time values, as with MatcherIndex::TryWithRule.
+  /// untouched. num_threads stays pinned to its Create-time value, as
+  /// with MatcherIndex::TryWithRule.
   Status DeployRule(const LinkageRule& rule, const MatchOptions& options);
 
   /// Scores one query entity against the logical corpus: links
@@ -230,7 +230,7 @@ class LiveCorpus {
   LiveCorpusStats stats() const;
 
  private:
-  struct RuleProgram;
+  struct Deployment;
   struct Snapshot;
 
   /// Where the live entity with some id currently lives. Dead ids are
@@ -262,8 +262,8 @@ class LiveCorpus {
   Result<Entity> RemapEntity(const Entity& entity, const Schema& schema) const;
 
   /// Evaluates `entity` (already under the corpus schema) for the
-  /// program's comparison sites and blocking keys.
-  DeltaEntry BuildDeltaEntry(Entity entity, const RuleProgram& program,
+  /// deployed program's comparison sites and blocking keys.
+  DeltaEntry BuildDeltaEntry(Entity entity, const Deployment& deployment,
                              bool use_blocking) const;
 
   Status ApplyBatchLocked(std::span<const LiveOp> ops, const Schema& schema)
@@ -296,7 +296,7 @@ class LiveCorpus {
   /// it — they read the published snapshot.
   mutable WriterPriorityMutex mutex_;
   MatchOptions user_options_ GENLINK_GUARDED_BY(mutex_);
-  std::shared_ptr<const RuleProgram> program_ GENLINK_GUARDED_BY(mutex_);
+  std::shared_ptr<const Deployment> deployment_ GENLINK_GUARDED_BY(mutex_);
   /// Owned base corpus (null over a mapped base). Snapshots share it.
   std::shared_ptr<const Dataset> base_data_ GENLINK_GUARDED_BY(mutex_);
   std::shared_ptr<const MatcherIndex> base_index_ GENLINK_GUARDED_BY(mutex_);

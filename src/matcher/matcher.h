@@ -36,12 +36,6 @@ struct MatchOptions {
   /// Use the token blocking index (recommended); exhaustive cross
   /// product otherwise.
   bool use_blocking = true;
-  /// Compile the rule against a value store (eval/value_store.h):
-  /// transformations run once per entity instead of once per candidate
-  /// pair, and distances run over interned values with the comparison
-  /// threshold as cutoff. Links are bit-identical either way
-  /// (tests/matcher_test.cc); off only for A/B measurements.
-  bool use_value_store = true;
   /// Minimum similarity for a link to be emitted.
   double threshold = 0.5;
   /// Keep only the best-scoring target per source entity when true.

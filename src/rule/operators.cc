@@ -117,10 +117,25 @@ AggregationOperator::AggregationOperator(
 double AggregationOperator::Evaluate(const Entity& a, const Entity& b,
                                      const Schema& schema_a,
                                      const Schema& schema_b) const {
-  return AggregateOperandScores(
-      *function_, operands_, [&](const SimilarityOperator& op) {
-        return op.Evaluate(a, b, schema_a, schema_b);
-      });
+  if (operands_.empty()) return 0.0;
+  // Stack buffers for the common small-fanout case.
+  double scores_buf[8];
+  double weights_buf[8];
+  std::vector<double> scores_vec, weights_vec;
+  double* scores = scores_buf;
+  double* weights = weights_buf;
+  if (operands_.size() > 8) {
+    scores_vec.resize(operands_.size());
+    weights_vec.resize(operands_.size());
+    scores = scores_vec.data();
+    weights = weights_vec.data();
+  }
+  for (size_t i = 0; i < operands_.size(); ++i) {
+    scores[i] = operands_[i]->Evaluate(a, b, schema_a, schema_b);
+    weights[i] = operands_[i]->weight();
+  }
+  return function_->Aggregate({scores, operands_.size()},
+                              {weights, operands_.size()});
 }
 
 std::unique_ptr<SimilarityOperator> AggregationOperator::Clone() const {

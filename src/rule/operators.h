@@ -175,37 +175,6 @@ class ComparisonOperator : public SimilarityOperator {
   double threshold_;
 };
 
-/// Aggregates the scores of `operands` with `function`, computing each
-/// operand's score via `score_fn(op)`. The single implementation of the
-/// aggregation arithmetic (stack buffers for small fan-out, operands
-/// visited in order) — shared by AggregationOperator::Evaluate and the
-/// evaluation engine's cached walk so the two cannot drift.
-template <typename ScoreFn>
-double AggregateOperandScores(
-    const AggregationFunction& function,
-    const std::vector<std::unique_ptr<SimilarityOperator>>& operands,
-    ScoreFn&& score_fn) {
-  if (operands.empty()) return 0.0;
-  // Stack buffers for the common small-fanout case.
-  double scores_buf[8];
-  double weights_buf[8];
-  std::vector<double> scores_vec, weights_vec;
-  double* scores = scores_buf;
-  double* weights = weights_buf;
-  if (operands.size() > 8) {
-    scores_vec.resize(operands.size());
-    weights_vec.resize(operands.size());
-    scores = scores_vec.data();
-    weights = weights_vec.data();
-  }
-  for (size_t i = 0; i < operands.size(); ++i) {
-    scores[i] = score_fn(*operands[i]);
-    weights[i] = operands[i]->weight();
-  }
-  return function.Aggregate({scores, operands.size()},
-                            {weights, operands.size()});
-}
-
 /// Combines child similarity scores with an aggregation function
 /// (Definition 8). Aggregations may be nested.
 class AggregationOperator : public SimilarityOperator {

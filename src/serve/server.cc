@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -169,6 +170,12 @@ void ServeDaemon::ListenerLoop() {
         break;
       }
       counters_.accepted.fetch_add(1, std::memory_order_relaxed);
+      // Responses go out as soon as they are written. With Nagle's
+      // algorithm on, the second of two pipelined responses waits for
+      // the client's delayed ACK of the first (~40 ms).
+      const int nodelay = 1;
+      (void)::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         sizeof(nodelay));
       bool admit = false;
       {
         MutexLock lock(queue_mutex_);

@@ -63,9 +63,9 @@ Status ServingState::DeployLocked(const RuleArtifact& artifact) {
     }
   } else {
     // Shares the corpus stores with the live index; TryWithRule pins
-    // num_threads and use_value_store to the corpus values and surfaces
-    // mapped-corpus compile failures (plan or blocking config missing
-    // from the artifact) without touching the published index.
+    // num_threads to the corpus value and surfaces mapped-corpus
+    // compile failures (plan or blocking config missing from the
+    // artifact) without touching the published index.
     Result<std::shared_ptr<const MatcherIndex>> rebuilt =
         old->TryWithRule(artifact.rule, artifact.options);
     if (!rebuilt.ok()) return rebuilt.status();

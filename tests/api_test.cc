@@ -22,6 +22,7 @@
 #include "rule/builder.h"
 #include "rule/rule_hash.h"
 #include "rule/serialize.h"
+#include "test_tmpdir.h"
 
 namespace genlink {
 namespace {
@@ -112,29 +113,26 @@ std::vector<GeneratedLink> JoinFromBatch(const MatcherIndex& index,
 }
 
 // Every query surface of an index over a dedup task must reproduce
-// GenerateLinks bit for bit, for all four execution configurations.
+// GenerateLinks bit for bit, with blocking on and off. (Each surface
+// against the spec, LinkageRule::Evaluate: tests/rule_oracle_test.cc.)
 void CheckAllSurfacesOnDedupTask(const MatchingTask& task,
                                  const LinkageRule& rule) {
   for (bool use_blocking : {true, false}) {
-    for (bool use_value_store : {true, false}) {
-      MatchOptions options;
-      options.use_blocking = use_blocking;
-      options.use_value_store = use_value_store;
-      const std::string label = std::string(task.name) +
-                                " blocking=" + std::to_string(use_blocking) +
-                                " store=" + std::to_string(use_value_store);
-      auto expected = GenerateLinks(rule, task.a, task.a, options);
-      ASSERT_GT(expected.size(), 0u) << label;
+    MatchOptions options;
+    options.use_blocking = use_blocking;
+    const std::string label = std::string(task.name) +
+                              " blocking=" + std::to_string(use_blocking);
+    auto expected = GenerateLinks(rule, task.a, task.a, options);
+    ASSERT_GT(expected.size(), 0u) << label;
 
-      auto index = MatcherIndex::Build(task.a, task.a, rule, options);
-      ExpectSameLinks(index->MatchDataset(), expected, label + " dataset");
-      ExpectSameLinks(index->MatchDataset(task.a), expected,
-                      label + " dataset(arg)");
-      ExpectSameLinks(JoinFromEntityQueries(*index, task.a, /*dedup=*/true),
-                      expected, label + " entity");
-      ExpectSameLinks(JoinFromBatch(*index, task.a, /*dedup=*/true), expected,
-                      label + " batch");
-    }
+    auto index = MatcherIndex::Build(task.a, task.a, rule, options);
+    ExpectSameLinks(index->MatchDataset(), expected, label + " dataset");
+    ExpectSameLinks(index->MatchDataset(task.a), expected,
+                    label + " dataset(arg)");
+    ExpectSameLinks(JoinFromEntityQueries(*index, task.a, /*dedup=*/true),
+                    expected, label + " entity");
+    ExpectSameLinks(JoinFromBatch(*index, task.a, /*dedup=*/true), expected,
+                    label + " batch");
   }
 }
 
@@ -410,7 +408,6 @@ TEST(RuleArtifactTest, TextRoundTripBothFormats) {
     artifact.options.threshold = 0.75;
     artifact.options.best_match_only = true;
     artifact.options.use_blocking = false;
-    artifact.options.use_value_store = false;
 
     auto loaded = ReadRuleArtifact(WriteRuleArtifact(artifact, format));
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -418,7 +415,6 @@ TEST(RuleArtifactTest, TextRoundTripBothFormats) {
     EXPECT_EQ(loaded->options.threshold, 0.75);
     EXPECT_TRUE(loaded->options.best_match_only);
     EXPECT_FALSE(loaded->options.use_blocking);
-    EXPECT_FALSE(loaded->options.use_value_store);
     // The rule structure survives byte-exactly (canonical hash covers
     // measures, transforms, thresholds and weights).
     EXPECT_EQ(ToSexpr(loaded->rule), ToSexpr(artifact.rule));
@@ -449,6 +445,31 @@ TEST(RuleArtifactTest, RejectsMalformedInput) {
   EXPECT_FALSE(bad_bool.ok());
 }
 
+// Artifacts written by older builds carry `use-value-store:`. The
+// writer no longer emits it; 1 still loads, 0 (a per-pair execution
+// path that no longer exists) is a named parse error.
+TEST(RuleArtifactTest, LegacyUseValueStoreKey) {
+  RuleArtifact artifact;
+  artifact.rule = RestaurantRule();
+  const std::string text =
+      WriteRuleArtifact(artifact, ArtifactRuleFormat::kXml);
+  EXPECT_EQ(text.find("use-value-store"), std::string::npos);
+
+  const std::string header = "genlink-artifact v1\nthreshold: 0.5\n";
+  const std::string payload = text.substr(text.find("---\n"));
+  auto legacy_on =
+      ReadRuleArtifact(header + "use-value-store: 1\n" + payload);
+  ASSERT_TRUE(legacy_on.ok()) << legacy_on.status().ToString();
+  EXPECT_EQ(ToSexpr(legacy_on->rule), ToSexpr(artifact.rule));
+
+  auto legacy_off =
+      ReadRuleArtifact(header + "use-value-store: 0\n" + payload);
+  ASSERT_FALSE(legacy_off.ok());
+  EXPECT_EQ(legacy_off.status().code(), StatusCode::kParseError);
+  EXPECT_NE(legacy_off.status().ToString().find("use-value-store: 0"),
+            std::string::npos);
+}
+
 // The deployment loop: save an artifact to disk, load it in (what would
 // be) another process, build an index from it, and serve — queries must
 // be bit-identical to the pre-save index.
@@ -459,7 +480,7 @@ TEST(RuleArtifactTest, SaveLoadQueryRoundTrip) {
   artifact.rule = RestaurantRule();
   artifact.options.threshold = 0.5;
 
-  const std::string path = ::testing::TempDir() + "genlink_api_artifact.gla";
+  const std::string path = TestTempPath("artifact.gla");
   ASSERT_TRUE(SaveArtifact(path, artifact).ok());
   auto loaded = LoadArtifact(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();

@@ -18,13 +18,10 @@
 #include "io/atomic_write.h"
 #include "io/csv.h"
 #include "rule/builder.h"
+#include "test_tmpdir.h"
 
 namespace genlink {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "atomic_write_" + name;
-}
 
 std::string ReadAll(const std::string& path) {
   auto content = ReadFileToString(path);
@@ -50,7 +47,7 @@ class AtomicWriteTest : public ::testing::Test {
 };
 
 TEST_F(AtomicWriteTest, WriteFileAtomicCreatesAndReplaces) {
-  const std::string path = TempPath("replace.txt");
+  const std::string path = TestTempPath("replace.txt");
   ASSERT_TRUE(WriteFileAtomic(path, "first\n").ok());
   EXPECT_EQ(ReadAll(path), "first\n");
   ASSERT_TRUE(WriteFileAtomic(path, "second, longer content\n").ok());
@@ -60,7 +57,7 @@ TEST_F(AtomicWriteTest, WriteFileAtomicCreatesAndReplaces) {
 }
 
 TEST_F(AtomicWriteTest, StreamingAppendPatchCommit) {
-  const std::string path = TempPath("stream.bin");
+  const std::string path = TestTempPath("stream.bin");
   auto writer = AtomicFileWriter::Create(path);
   ASSERT_TRUE(writer.ok());
   ASSERT_TRUE(writer->Append("????header").ok());
@@ -78,7 +75,7 @@ TEST_F(AtomicWriteTest, StreamingAppendPatchCommit) {
 }
 
 TEST_F(AtomicWriteTest, PatchBeyondEndFails) {
-  const std::string path = TempPath("patch_oob.bin");
+  const std::string path = TestTempPath("patch_oob.bin");
   auto writer = AtomicFileWriter::Create(path);
   ASSERT_TRUE(writer.ok());
   ASSERT_TRUE(writer->Append("short").ok());
@@ -88,7 +85,7 @@ TEST_F(AtomicWriteTest, PatchBeyondEndFails) {
 }
 
 TEST_F(AtomicWriteTest, AbortAndDropLeaveNoTrace) {
-  const std::string path = TempPath("abandoned.bin");
+  const std::string path = TestTempPath("abandoned.bin");
   {
     auto writer = AtomicFileWriter::Create(path);
     ASSERT_TRUE(writer.ok());
@@ -101,7 +98,7 @@ TEST_F(AtomicWriteTest, AbortAndDropLeaveNoTrace) {
 }
 
 TEST_F(AtomicWriteTest, InjectedWriteErrorPreservesOldContent) {
-  const std::string path = TempPath("survives.txt");
+  const std::string path = TestTempPath("survives.txt");
   ASSERT_TRUE(WriteFileAtomic(path, "the old artifact\n").ok());
 
   Failpoints::Instance().Arm("io.write_error", {.error_code = ENOSPC});
@@ -122,7 +119,7 @@ TEST_F(AtomicWriteTest, InjectedWriteErrorPreservesOldContent) {
 }
 
 TEST_F(AtomicWriteTest, InjectedErrorAtEveryWriteSiteKeepsDestination) {
-  const std::string path = TempPath("every_site.txt");
+  const std::string path = TestTempPath("every_site.txt");
   ASSERT_TRUE(WriteFileAtomic(path, "seed\n").ok());
   // Fire one failure at the k-th write-site hit, for every k the
   // successful path performs, so Append, the fsync flush and the
@@ -154,7 +151,7 @@ TEST_F(AtomicWriteTest, InjectedErrorAtEveryWriteSiteKeepsDestination) {
 }
 
 TEST_F(AtomicWriteTest, SaveArtifactFailureKeepsDeployableOldFile) {
-  const std::string path = TempPath("artifact.gla");
+  const std::string path = TestTempPath("artifact.gla");
   auto rule = RuleBuilder()
                   .Compare("levenshtein", 2.0, Prop("name"), Prop("name"))
                   .Build();

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "io/link_io.h"
 #include "rule/linkage_rule.h"
 #include "rule/xml.h"
+#include "test_tmpdir.h"
 
 namespace genlink {
 namespace {
@@ -55,10 +57,6 @@ std::string DatasetToCsv(const Dataset& dataset) {
   return WriteCsv(rows);
 }
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "genlink_smoke_" + name;
-}
-
 TEST(CliSmokeTest, LearnsParseableRuleOnRestaurant) {
   ASSERT_FALSE(g_cli_path.empty())
       << "pass the genlink_cli path as argv[1] (CTest does this)";
@@ -70,9 +68,9 @@ TEST(CliSmokeTest, LearnsParseableRuleOnRestaurant) {
   ASSERT_GT(task.Source().size(), 0u);
   ASSERT_GT(task.links.positives().size(), 0u);
 
-  const std::string data_path = TempPath("restaurant.csv");
-  const std::string links_path = TempPath("links.csv");
-  const std::string rule_path = TempPath("rule.xml");
+  const std::string data_path = TestTempPath("restaurant.csv");
+  const std::string links_path = TestTempPath("links.csv");
+  const std::string rule_path = TestTempPath("rule.xml");
   ASSERT_TRUE(WriteStringToFile(data_path, DatasetToCsv(task.Source())).ok());
   ASSERT_TRUE(WriteStringToFile(links_path, WriteLinksCsv(task.links)).ok());
 
@@ -105,10 +103,10 @@ TEST(CliSmokeTest, LearnWithMatchWritesFullDatasetLinks) {
   config.scale = 0.3;
   MatchingTask task = GenerateRestaurant(config);
 
-  const std::string data_path = TempPath("match_restaurant.csv");
-  const std::string links_path = TempPath("match_links.csv");
-  const std::string rule_path = TempPath("match_rule.xml");
-  const std::string out_path = TempPath("match_out.nt");
+  const std::string data_path = TestTempPath("match_restaurant.csv");
+  const std::string links_path = TestTempPath("match_links.csv");
+  const std::string rule_path = TestTempPath("match_rule.xml");
+  const std::string out_path = TestTempPath("match_out.nt");
   ASSERT_TRUE(WriteStringToFile(data_path, DatasetToCsv(task.Source())).ok());
   ASSERT_TRUE(WriteStringToFile(links_path, WriteLinksCsv(task.links)).ok());
 
@@ -139,13 +137,36 @@ TEST(CliSmokeTest, LearnWithMatchWritesFullDatasetLinks) {
 // Runs `command`, capturing stdout+stderr into *output. Returns the
 // exit code (-1 if the process could not be run).
 int RunCapture(const std::string& command, std::string* output) {
-  const std::string capture_path = TempPath("capture.txt");
+  const std::string capture_path = TestTempPath("capture.txt");
   const int code = std::system((command + " > " + capture_path + " 2>&1").c_str());
   auto content = ReadFileToString(capture_path);
   *output = content.ok() ? *content : "";
   std::remove(capture_path.c_str());
   if (code == -1) return -1;
   return WEXITSTATUS(code);
+}
+
+// `gen` without --deltas writes the three corpus files and no delta
+// stream: the delta generator's default count is not a request for one
+// (and there is no --out-deltas to write it to).
+TEST(CliSmokeTest, GenWithoutDeltasWritesOnlyTheCorpus) {
+  const std::string dir = TestTempDir();
+  const std::string command =
+      g_cli_path + " gen --out-source " + dir + "s.csv --out-target " + dir +
+      "t.csv --out-links " + dir + "l.csv --entities 400 --threads 2";
+  std::string output;
+  ASSERT_EQ(RunCapture(command, &output), 0) << command << "\n" << output;
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  std::sort(files.begin(), files.end());
+  EXPECT_EQ(files, (std::vector<std::string>{"l.csv", "s.csv", "t.csv"}));
+  for (const std::string& name : files) {
+    auto content = ReadFileToString(dir + name);
+    ASSERT_TRUE(content.ok()) << name;
+    EXPECT_FALSE(content->empty()) << name;
+  }
 }
 
 TEST(CliSmokeTest, VersionFlagPrintsVersion) {
@@ -231,10 +252,10 @@ TEST(CliSmokeTest, QueryServesArtifactLearnedByLearn) {
   config.scale = 0.3;
   MatchingTask task = GenerateRestaurant(config);
 
-  const std::string data_path = TempPath("query_restaurant.csv");
-  const std::string links_path = TempPath("query_links.csv");
-  const std::string artifact_path = TempPath("query_artifact.gla");
-  const std::string out_path = TempPath("query_out.csv");
+  const std::string data_path = TestTempPath("query_restaurant.csv");
+  const std::string links_path = TestTempPath("query_links.csv");
+  const std::string artifact_path = TestTempPath("query_artifact.gla");
+  const std::string out_path = TestTempPath("query_out.csv");
   ASSERT_TRUE(WriteStringToFile(data_path, DatasetToCsv(task.Source())).ok());
   ASSERT_TRUE(WriteStringToFile(links_path, WriteLinksCsv(task.links)).ok());
 

@@ -22,6 +22,7 @@
 #include "matcher/matcher.h"
 #include "rule/builder.h"
 #include "serve/serving_state.h"
+#include "test_tmpdir.h"
 
 namespace genlink {
 namespace {
@@ -62,10 +63,6 @@ LinkageRule UnrelatedRule() {
   return std::move(rule).value();
 }
 
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "corpus_artifact_" + name;
-}
-
 std::string ReadAll(const std::string& path) {
   auto content = ReadFileToString(path);
   EXPECT_TRUE(content.ok()) << path;
@@ -96,7 +93,7 @@ void ExpectSameLinks(const std::vector<GeneratedLink>& actual,
 /// to a fresh in-memory serving build.
 void CheckBitIdentity(const MatchingTask& task, const LinkageRule& rule,
                       const MatchOptions& options, const std::string& name) {
-  const std::string path = TempPath(name);
+  const std::string path = TestTempPath(name);
   CorpusArtifactStats stats;
   ASSERT_TRUE(
       WriteCorpusArtifact(path, task.a, rule, options, nullptr, &stats).ok());
@@ -158,17 +155,13 @@ TEST(CorpusArtifactTest, MappedBitIdenticalWeightedShardedBlocking) {
   CheckBitIdentity(task, RestaurantRule(), options, "restaurant_weighted");
 }
 
-TEST(CorpusArtifactTest, WriterRejectsEmptyRuleAndNoValueStore) {
+TEST(CorpusArtifactTest, WriterRejectsEmptyRule) {
   RestaurantConfig config;
   config.scale = 0.1;
   MatchingTask task = GenerateRestaurant(config);
-  const std::string path = TempPath("rejects");
+  const std::string path = TestTempPath("rejects");
   EXPECT_FALSE(
       WriteCorpusArtifact(path, task.a, LinkageRule(), MatchOptions()).ok());
-  MatchOptions no_store;
-  no_store.use_value_store = false;
-  EXPECT_FALSE(
-      WriteCorpusArtifact(path, task.a, RestaurantRule(), no_store).ok());
 }
 
 class MappedServingTest : public ::testing::Test {
@@ -177,7 +170,7 @@ class MappedServingTest : public ::testing::Test {
     RestaurantConfig config;
     config.scale = 0.2;
     task_ = GenerateRestaurant(config);
-    path_ = TempPath("serving.glidx");
+    path_ = TestTempPath("serving.glidx");
     ASSERT_TRUE(
         WriteCorpusArtifact(path_, task_.a, RestaurantRule(), options_).ok());
     auto mapped = MappedCorpus::Load(path_);
@@ -272,7 +265,7 @@ TEST_F(MappedServingTest, ChecksumSkipLoadsAndServes) {
 }
 
 TEST_F(MappedServingTest, NoBlockingArtifactRefusesBlockingOptions) {
-  const std::string path = TempPath("noblocking.glidx");
+  const std::string path = TestTempPath("noblocking.glidx");
   MatchOptions no_blocking = options_;
   no_blocking.use_blocking = false;
   ASSERT_TRUE(
@@ -301,13 +294,13 @@ class CorruptionTest : public ::testing::Test {
         "e3,delta alpha,78 lake ave,braga\n",
         "tiny", {});
     ASSERT_TRUE(dataset.ok());
-    path_ = TempPath("fuzz.glidx");
+    path_ = TestTempPath("fuzz.glidx");
     ASSERT_TRUE(
         WriteCorpusArtifact(path_, *dataset, RestaurantRule(), MatchOptions())
             .ok());
     bytes_ = ReadAll(path_);
     ASSERT_GT(bytes_.size(), 0u);
-    corrupt_path_ = TempPath("fuzz_corrupt.glidx");
+    corrupt_path_ = TestTempPath("fuzz_corrupt.glidx");
   }
   void TearDown() override {
     std::remove(path_.c_str());
@@ -375,7 +368,7 @@ TEST_F(CorruptionTest, GarbageAndEmptyFilesAreNamedErrors) {
   WriteAll(corrupt_path_, "not an artifact at all, just text\n");
   EXPECT_FALSE(MappedCorpus::Load(corrupt_path_).ok());
   EXPECT_FALSE(
-      MappedCorpus::Load(TempPath("never_written.glidx")).ok());
+      MappedCorpus::Load(TestTempPath("never_written.glidx")).ok());
 }
 
 TEST_F(CorruptionTest, VersionFromTheFutureIsRejected) {

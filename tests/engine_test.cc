@@ -160,23 +160,16 @@ TEST_F(EngineTest, DistanceCacheDoesNotChangeResults) {
 }
 
 TEST_F(EngineTest, ValueStoreDoesNotChangeResults) {
-  EngineConfig with, without;
-  with.use_value_store = true;
-  without.use_value_store = false;
   EvaluationEngine store_engine(pairs_, task_.Source().schema(),
-                                task_.Target().schema(), {}, with);
-  EvaluationEngine plain_engine(pairs_, task_.Source().schema(),
-                                task_.Target().schema(), {}, without);
+                                task_.Target().schema());
   FitnessEvaluator serial(pairs_, task_.Source().schema(),
                           task_.Target().schema());
   for (const LinkageRule& rule : RandomRules(80, 21)) {
     FitnessResult via_store = store_engine.Evaluate(rule);
-    FitnessResult via_rows = plain_engine.Evaluate(rule);
     FitnessResult reference = serial.Evaluate(rule);
-    // Bit-identical across all three paths: interned distances, per-pair
-    // distances from the operator tree, and the serial evaluator.
+    // Distance rows computed from interned values score bit-identically
+    // to the serial evaluator's per-pair operator tree.
     EXPECT_EQ(via_store.fitness, reference.fitness);
-    EXPECT_EQ(via_rows.fitness, reference.fitness);
     EXPECT_EQ(via_store.mcc, reference.mcc);
     EXPECT_EQ(via_store.f_measure, reference.f_measure);
     EXPECT_EQ(via_store.confusion.tp, reference.confusion.tp);
@@ -187,7 +180,6 @@ TEST_F(EngineTest, ValueStoreDoesNotChangeResults) {
   // The store actually ran: plans were compiled and values interned.
   EXPECT_GT(store_engine.stats().value_plans_compiled, 0u);
   EXPECT_GT(store_engine.stats().values_interned, 0u);
-  EXPECT_EQ(plain_engine.stats().value_plans_compiled, 0u);
 }
 
 TEST_F(EngineTest, ValueStorePlansSharedAcrossComparisons) {
@@ -269,13 +261,13 @@ class EngineLearnTest : public ::testing::Test {
     task_ = GenerateRestaurant(config);
   }
 
-  LearnResult Learn(size_t threads, bool use_value_store = true) {
+  LearnResult Learn(size_t threads, bool cache_distances = true) {
     GenLinkConfig config;
     config.population_size = 50;
     config.max_iterations = 5;
     config.stop_f_measure = 1.1;  // never stop early: exercise all 5
     config.num_threads = threads;
-    config.use_value_store = use_value_store;
+    config.cache_distances = cache_distances;
     GenLink learner(task_.Source(), task_.Target(), config);
     Rng rng(2024);
     auto result = learner.Learn(task_.links, nullptr, rng);
@@ -308,22 +300,24 @@ TEST_F(EngineLearnTest, SameSeedSameTrajectoryAt148Threads) {
   }
 }
 
-TEST_F(EngineLearnTest, SameTrajectoryWithValueStoreOnAndOff) {
-  LearnResult with_store = Learn(1, /*use_value_store=*/true);
-  LearnResult without_store = Learn(1, /*use_value_store=*/false);
+// The cached path (distance rows from the value store, scored by the
+// rule program) learns exactly what the serial FitnessEvaluator learns.
+TEST_F(EngineLearnTest, SameTrajectoryAsUncachedDistances) {
+  LearnResult cached = Learn(1, /*cache_distances=*/true);
+  LearnResult uncached = Learn(1, /*cache_distances=*/false);
 
-  EXPECT_EQ(ToSexpr(with_store.best_rule), ToSexpr(without_store.best_rule));
-  ASSERT_EQ(with_store.trajectory.iterations.size(),
-            without_store.trajectory.iterations.size());
-  for (size_t i = 0; i < with_store.trajectory.iterations.size(); ++i) {
-    EXPECT_EQ(with_store.trajectory.iterations[i].train_f1,
-              without_store.trajectory.iterations[i].train_f1) << i;
-    EXPECT_EQ(with_store.trajectory.iterations[i].train_mcc,
-              without_store.trajectory.iterations[i].train_mcc) << i;
+  EXPECT_EQ(ToSexpr(cached.best_rule), ToSexpr(uncached.best_rule));
+  ASSERT_EQ(cached.trajectory.iterations.size(),
+            uncached.trajectory.iterations.size());
+  for (size_t i = 0; i < cached.trajectory.iterations.size(); ++i) {
+    EXPECT_EQ(cached.trajectory.iterations[i].train_f1,
+              uncached.trajectory.iterations[i].train_f1) << i;
+    EXPECT_EQ(cached.trajectory.iterations[i].train_mcc,
+              uncached.trajectory.iterations[i].train_mcc) << i;
   }
-  EXPECT_GT(with_store.eval_stats.value_plans_compiled, 0u);
-  EXPECT_GT(with_store.eval_stats.value_plan_hits, 0u);
-  EXPECT_EQ(without_store.eval_stats.value_plans_compiled, 0u);
+  EXPECT_GT(cached.eval_stats.value_plans_compiled, 0u);
+  EXPECT_GT(cached.eval_stats.value_plan_hits, 0u);
+  EXPECT_EQ(uncached.eval_stats.value_plans_compiled, 0u);
 }
 
 TEST_F(EngineLearnTest, CacheHitRatePositiveAfterGenerationTwo) {

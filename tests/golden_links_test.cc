@@ -110,8 +110,8 @@ TEST_F(GoldenLinksTest, BestMatchOnlyVariant) {
 }
 
 // The golden bytes must not depend on the execution strategy: blocking
-// vs cross product, value store vs operator tree, 1 vs 4 threads all
-// serialize to the same files.
+// vs cross product and 1 vs 4 threads all serialize to the same files.
+// (The spec-vs-compiled reference lives in tests/rule_oracle_test.cc.)
 TEST_F(GoldenLinksTest, OutputIndependentOfExecutionStrategy) {
   MatchOptions base;
   std::string golden = WriteGeneratedLinksCsv(Generate(base));
@@ -119,10 +119,6 @@ TEST_F(GoldenLinksTest, OutputIndependentOfExecutionStrategy) {
   MatchOptions cross = base;
   cross.use_blocking = false;
   EXPECT_EQ(WriteGeneratedLinksCsv(Generate(cross)), golden);
-
-  MatchOptions no_store = base;
-  no_store.use_value_store = false;
-  EXPECT_EQ(WriteGeneratedLinksCsv(Generate(no_store)), golden);
 
   MatchOptions threads = base;
   threads.num_threads = 4;

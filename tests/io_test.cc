@@ -9,6 +9,7 @@
 #include "io/csv.h"
 #include "io/link_io.h"
 #include "io/ntriples.h"
+#include "test_tmpdir.h"
 
 namespace genlink {
 namespace {
@@ -280,7 +281,7 @@ TEST(LinkIoTest, SameAsRoundTrip) {
 }
 
 TEST(FileIoTest, WriteAndReadBack) {
-  std::string path = ::testing::TempDir() + "/genlink_io_test.txt";
+  std::string path = TestTempPath("io_test.txt");
   ASSERT_TRUE(WriteStringToFile(path, "hello\nworld").ok());
   auto content = ReadFileToString(path);
   ASSERT_TRUE(content.ok());

@@ -33,6 +33,7 @@
 #include "io/corpus_artifact.h"
 #include "live/delta_csv.h"
 #include "rule/builder.h"
+#include "test_tmpdir.h"
 
 namespace genlink {
 namespace {
@@ -465,7 +466,7 @@ TEST(LiveCorpusTest, MappedBaseServesMutationsButCannotCompact) {
   const LinkageRule rule = RestaurantRule();
   MatchOptions options;
   options.num_threads = 2;
-  const std::string path = ::testing::TempDir() + "live_mapped.glc";
+  const std::string path = TestTempPath("live_mapped.glc");
   ASSERT_TRUE(
       WriteCorpusArtifact(path, task.Target(), rule, options).ok());
   auto mapped = MappedCorpus::Load(path);
@@ -505,8 +506,7 @@ TEST(LiveCorpusTest, CompactToWriteFailureSweepKeepsPreviousSnapshotServing) {
   const LinkageRule rule = RestaurantRule();
   MatchOptions options;
   options.num_threads = 2;
-  const std::string dir =
-      ::testing::TempDir() + "live_compact_sweep/";
+  const std::string dir = TestTempPath("live_compact_sweep/");
   std::filesystem::create_directories(dir);
   const std::string path = dir + "compacted.glc";
 

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "datasets/linkedmdb.h"
 #include "datasets/restaurant.h"
+#include "matcher/blocking.h"
 #include "matcher/matcher.h"
 #include "rule/builder.h"
 
@@ -117,17 +120,13 @@ TEST_F(MatcherTest, BestMatchTieBreakPrefersSmallestIdOnExactTies) {
   MatchOptions options;
   options.best_match_only = true;
   for (bool use_blocking : {true, false}) {
-    for (bool use_value_store : {true, false}) {
-      options.use_blocking = use_blocking;
-      options.use_value_store = use_value_store;
-      auto links = GenerateLinks(*rule, source, targets, options);
-      ASSERT_EQ(links.size(), 1u)
-          << "blocking=" << use_blocking << " store=" << use_value_store;
-      // Exact tie at score 1.0: "b10" < "b9" lexicographically wins,
-      // although b9 enumerates first.
-      EXPECT_DOUBLE_EQ(links[0].score, 1.0);
-      EXPECT_EQ(links[0].id_b, "b10");
-    }
+    options.use_blocking = use_blocking;
+    auto links = GenerateLinks(*rule, source, targets, options);
+    ASSERT_EQ(links.size(), 1u) << "blocking=" << use_blocking;
+    // Exact tie at score 1.0: "b10" < "b9" lexicographically wins,
+    // although b9 enumerates first.
+    EXPECT_DOUBLE_EQ(links[0].score, 1.0);
+    EXPECT_EQ(links[0].id_b, "b10");
   }
 }
 
@@ -165,8 +164,39 @@ TEST_F(MatcherTest, SourcePropertyExtraction) {
   EXPECT_EQ(TargetProperties(rule), (std::vector<std::string>{"label"}));
 }
 
+// The self-join reference: LinkageRule::Evaluate (the spec) over the
+// same candidates GenerateLinks considers — the token-blocking
+// candidates or the cross product — each unordered pair once, in
+// GenerateLinks' order (score desc, id_a, id_b).
+std::vector<GeneratedLink> SpecSelfJoin(const LinkageRule& rule,
+                                        const Dataset& data,
+                                        bool use_blocking) {
+  TokenBlockingIndex index(data, TargetProperties(rule));
+  std::vector<GeneratedLink> links;
+  for (const Entity& a : data.entities()) {
+    std::vector<size_t> candidates;
+    if (use_blocking) {
+      candidates = index.Candidates(a, data.schema());
+    } else {
+      for (size_t j = 0; j < data.size(); ++j) candidates.push_back(j);
+    }
+    for (size_t j : candidates) {
+      const Entity& b = data.entity(j);
+      if (a.id() >= b.id()) continue;
+      const double score = rule.Evaluate(a, b, data.schema(), data.schema());
+      if (score >= kMatchThreshold) links.push_back({a.id(), b.id(), score});
+    }
+  }
+  std::sort(links.begin(), links.end(), [](const auto& x, const auto& y) {
+    if (x.score != y.score) return x.score > y.score;
+    if (x.id_a != y.id_a) return x.id_a < y.id_a;
+    return x.id_b < y.id_b;
+  });
+  return links;
+}
+
 // The value-store matcher path must generate links bit-identical to the
-// per-pair operator-tree path: same pairs, same doubles, same order.
+// spec evaluated per pair: same pairs, same doubles, same order.
 TEST(MatcherIntegrationTest, ValueStorePathBitIdenticalOnRestaurant) {
   RestaurantConfig config;
   config.scale = 0.4;
@@ -182,14 +212,12 @@ TEST(MatcherIntegrationTest, ValueStorePathBitIdenticalOnRestaurant) {
   ASSERT_TRUE(rule.ok());
 
   for (bool use_blocking : {true, false}) {
-    MatchOptions with_store, without_store;
-    with_store.use_blocking = without_store.use_blocking = use_blocking;
-    with_store.use_value_store = true;
-    without_store.use_value_store = false;
+    MatchOptions options;
+    options.use_blocking = use_blocking;
     // Restaurant is a dedup task: source matched against itself
     // (exercises the self-match dedup in the compiled path too).
-    auto fast = GenerateLinks(*rule, task.a, task.a, with_store);
-    auto reference = GenerateLinks(*rule, task.a, task.a, without_store);
+    auto fast = GenerateLinks(*rule, task.a, task.a, options);
+    auto reference = SpecSelfJoin(*rule, task.a, use_blocking);
     ASSERT_EQ(fast.size(), reference.size()) << "blocking=" << use_blocking;
     EXPECT_GT(fast.size(), 0u);
     for (size_t i = 0; i < fast.size(); ++i) {

@@ -14,8 +14,8 @@
 //     mode, plus deeper random trees built from its fragments, and
 //   * hand-built rules at the evaluators' limits: nesting deeper and
 //     fan-out wider than any fixed stack buffer, aggregations of more
-//     than 8 operands (the heap branch of AggregateOperandScores), and
-//     non-unit weighted-mean weights,
+//     than 8 operands (the heap branch of AggregationOperator::Evaluate),
+//     and non-unit weighted-mean weights,
 //
 // on generated person-directory entities (datasets/synthetic.h).
 //
@@ -46,6 +46,7 @@
 #include "live/live_corpus.h"
 #include "matcher/blocking.h"
 #include "rule/aggregation_function.h"
+#include "rule/rule_program.h"
 #include "test_tmpdir.h"
 #include "transform/registry.h"
 
@@ -54,10 +55,12 @@ namespace {
 
 constexpr size_t kEntities = 40;
 // Hand-built limits: a chain of kDeepNesting nested aggregations and one
-// aggregation of kWideFanOut operands. Both exceed any inline stack a
-// compiled evaluator keeps for typical GP rules.
+// aggregation of kWideFanOut operands. Both overflow the rule program's
+// inline evaluation stack into its heap branch.
 constexpr size_t kDeepNesting = 72;
 constexpr size_t kWideFanOut = 72;
+static_assert(kDeepNesting > RuleProgram::kInlineStack &&
+              kWideFanOut > RuleProgram::kInlineStack);
 
 const std::vector<std::string>& Properties() {
   static const std::vector<std::string> names = {"name", "address", "city",

@@ -17,6 +17,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -38,6 +39,7 @@
 #include "serve/metrics.h"
 #include "serve/server.h"
 #include "serve/serving_state.h"
+#include "test_tmpdir.h"
 
 namespace genlink {
 namespace {
@@ -192,8 +194,8 @@ std::string WriteArtifactFile(const std::string& path, LinkageRule rule,
 
 TEST(ServingStateTest, FailedReloadsKeepTheOldIndexServing) {
   const Dataset corpus = MakeCorpus(20);
-  const std::string good = ::testing::TempDir() + "serving_state_good.artifact";
-  const std::string bad = ::testing::TempDir() + "serving_state_bad.artifact";
+  const std::string good = TestTempPath("good.artifact");
+  const std::string bad = TestTempPath("bad.artifact");
   WriteArtifactFile(good, NameRule(), "good");
 
   ServingState state(corpus, /*num_threads=*/1);
@@ -232,7 +234,7 @@ TEST(ServingStateTest, FailedReloadsKeepTheOldIndexServing) {
 
   // A missing file is just another failure mode.
   EXPECT_FALSE(
-      state.ReloadFromFile(::testing::TempDir() + "does_not_exist.artifact")
+      state.ReloadFromFile(TestTempPath("does_not_exist.artifact"))
           .ok());
   EXPECT_EQ(state.index().get(), live.get());
 
@@ -284,6 +286,31 @@ std::string RecvUntilClosed(int fd) {
   return out;
 }
 
+// Reads exactly `count` Content-Length-framed responses from `fd`.
+// False on EOF, error or a response without Content-Length.
+bool RecvResponses(int fd, size_t count) {
+  std::string buffer;
+  char chunk[4096];
+  while (count > 0) {
+    const size_t header_end = buffer.find("\r\n\r\n");
+    if (header_end != std::string::npos) {
+      const size_t field = buffer.find("Content-Length: ");
+      if (field == std::string::npos || field > header_end) return false;
+      const size_t total =
+          header_end + 4 + std::stoul(buffer.substr(field + 16));
+      if (buffer.size() >= total) {
+        buffer.erase(0, total);
+        --count;
+        continue;
+      }
+    }
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return false;
+    buffer.append(chunk, static_cast<size_t>(n));
+  }
+  return true;
+}
+
 class ServeDaemonTest : public ::testing::Test {
  protected:
   ServeDaemonTest() : corpus_(MakeCorpus(30)) {}
@@ -292,11 +319,7 @@ class ServeDaemonTest : public ::testing::Test {
 
   // Writes the artifact, deploys it into state_, starts the daemon.
   void StartDaemon(ServeOptions options, LinkageRule rule = NameRule()) {
-    artifact_path_ = ::testing::TempDir() + "serve_test_" +
-                     ::testing::UnitTest::GetInstance()
-                         ->current_test_info()
-                         ->name() +
-                     ".artifact";
+    artifact_path_ = TestTempPath("serve.artifact");
     WriteArtifactFile(artifact_path_, std::move(rule), "serve-test");
     state_ = std::make_unique<ServingState>(corpus_, /*num_threads=*/1);
     ASSERT_TRUE(state_->ReloadFromFile(artifact_path_).ok());
@@ -308,11 +331,7 @@ class ServeDaemonTest : public ::testing::Test {
   // corpus between queries (live/live_corpus.h).
   void StartLiveDaemon(ServeOptions options, LinkageRule rule = NameRule(),
                        LiveCorpusOptions live_options = {}) {
-    artifact_path_ = ::testing::TempDir() + "serve_test_" +
-                     ::testing::UnitTest::GetInstance()
-                         ->current_test_info()
-                         ->name() +
-                     ".artifact";
+    artifact_path_ = TestTempPath("serve.artifact");
     WriteArtifactFile(artifact_path_, std::move(rule), "serve-live-test");
     state_ = std::make_unique<ServingState>(corpus_, /*num_threads=*/1,
                                             live_options);
@@ -353,6 +372,36 @@ TEST_F(ServeDaemonTest, HealthzVarzAndRouting) {
   auto wrong_method2 = HttpCall(port(), "POST", "/healthz", "x");
   ASSERT_TRUE(wrong_method2.ok());
   EXPECT_EQ(wrong_method2->status, 405);
+}
+
+// Pipelined requests on one keep-alive connection are answered without
+// Nagle delays: with Nagle's algorithm on, the second response of a
+// pipelined pair waits for the client's delayed ACK of the first
+// (~40 ms per pair). The sequential warm-up takes the connection out
+// of TCP quick-ACK mode, which would otherwise mask the delay.
+TEST_F(ServeDaemonTest, PipelinedResponsesAreNotDelayed) {
+  StartDaemon({});
+  const int fd = RawConnect(port());
+  ASSERT_GE(fd, 0);
+  const std::string request = "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(SendRaw(fd, request));
+    ASSERT_TRUE(RecvResponses(fd, 1)) << "sequential request " << i;
+  }
+  std::vector<double> pair_ms;
+  for (int i = 0; i < 5; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(SendRaw(fd, request + request));
+    ASSERT_TRUE(RecvResponses(fd, 2)) << "pipelined pair " << i;
+    pair_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+  }
+  ::close(fd);
+  std::sort(pair_ms.begin(), pair_ms.end());
+  EXPECT_LT(pair_ms[pair_ms.size() / 2], 20.0)
+      << "pipelined pair latencies (ms): " << pair_ms[0] << " .. "
+      << pair_ms.back();
 }
 
 TEST_F(ServeDaemonTest, MatchIsBitIdenticalToDirectMatchBatch) {

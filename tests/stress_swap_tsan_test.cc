@@ -30,6 +30,7 @@
 #include "model/dataset.h"
 #include "rule/builder.h"
 #include "serve/serving_state.h"
+#include "test_tmpdir.h"
 
 namespace genlink {
 namespace {
@@ -193,10 +194,8 @@ TEST(StressSwapTsanTest, ServingOnlyIndexSurvivesSwapHammer) {
 // the bytes).
 TEST(StressSwapTsanTest, FailingReloadNeverInterruptsServing) {
   Dataset corpus = MakeCorpus(40);
-  const std::string good_path =
-      ::testing::TempDir() + "stress_reload_good.artifact";
-  const std::string bad_path =
-      ::testing::TempDir() + "stress_reload_bad.artifact";
+  const std::string good_path = TestTempPath("good.artifact");
+  const std::string bad_path = TestTempPath("bad.artifact");
   {
     RuleArtifact artifact;
     artifact.name = "stress-good";

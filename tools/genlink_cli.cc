@@ -1365,8 +1365,9 @@ int RunGen(const Args& args) {
 
   // gen --deltas: a deterministic update/delete stream against the
   // target side, written in the delta CSV format `genlink apply
-  // --deltas` consumes.
-  if (delta_config.num_deltas > 0) {
+  // --deltas` consumes. Only on request: the config's default count is
+  // not a request, and without --deltas there is no --out-deltas.
+  if (args.Has("deltas")) {
     delta_config.base = config;
     const SyntheticDeltas deltas = GenerateSyntheticDeltas(delta_config);
     std::vector<LiveOp> ops;
