@@ -7,6 +7,12 @@
 // fixed precision, so the bytes are stable across platforms and thread
 // counts.
 //
+// The same directory pins the learner: GoldenLearnTest records the
+// whole GenLink trajectory (initial mean F1, per-iteration train and
+// validation F1/MCC and operator counts as exact hex floats, and the
+// best rule) for a fixed seed on Restaurant and Cora. Any change to
+// the search's draw order, breeding or fitness shows up as a byte diff.
+//
 // The golden files live in tests/golden/ (path baked in via the
 // GENLINK_TEST_GOLDEN_DIR compile definition). To regenerate after an
 // intentional output change:
@@ -14,12 +20,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "datasets/cora.h"
 #include "datasets/restaurant.h"
+#include "gp/genlink.h"
+#include "gp/islands.h"
 #include "io/link_io.h"
 #include "matcher/matcher.h"
 #include "rule/parse.h"
@@ -123,6 +133,90 @@ TEST_F(GoldenLinksTest, OutputIndependentOfExecutionStrategy) {
   MatchOptions threads = base;
   threads.num_threads = 4;
   EXPECT_EQ(WriteGeneratedLinksCsv(Generate(threads)), golden);
+}
+
+// ------------------------------------------------ learner trajectory
+
+std::string HexFloat(double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%a", value);
+  return buffer;
+}
+
+// Every deterministic number of a learning run, as exact hex floats
+// (wall-clock seconds excluded), followed by the best rule.
+std::string TrajectoryText(const LearnResult& result) {
+  std::string text = "initial_population_mean_f1 ";
+  text += HexFloat(result.initial_population_mean_f1);
+  text +=
+      "\n# iteration train_f1 val_f1 train_mcc val_mcc mean_operators "
+      "best_operators\n";
+  for (const IterationStats& stats : result.trajectory.iterations) {
+    text += std::to_string(stats.iteration);
+    for (double value : {stats.train_f1, stats.val_f1, stats.train_mcc,
+                         stats.val_mcc, stats.mean_operators,
+                         stats.best_operators}) {
+      text += ' ';
+      text += HexFloat(value);
+    }
+    text += '\n';
+  }
+  text += result.trajectory.best_rule_sexpr;
+  text += '\n';
+  return text;
+}
+
+class GoldenLearnTest : public ::testing::Test {
+ protected:
+  enum class Path { kLearn, kLegacy, kUncachedDistances };
+
+  // Population 32, 5 iterations, never stopping early; the links split
+  // 2-fold from the master seed, training on fold 0 and validating on
+  // fold 1 (so the validation numbers are pinned too).
+  static std::string Run(const MatchingTask& task, size_t threads,
+                         Path path = Path::kLearn) {
+    GenLinkConfig config;
+    config.population_size = 32;
+    config.max_iterations = 5;
+    config.stop_f_measure = 1.1;
+    config.num_threads = threads;
+    config.cache_distances = path != Path::kUncachedDistances;
+    Rng rng(2024);
+    auto folds = task.links.SplitFolds(2, rng);
+    Result<LearnResult> result =
+        path == Path::kLegacy
+            ? LearnSinglePopulation(task.Source(), task.Target(), config,
+                                    folds[0], &folds[1], rng)
+            : GenLink(task.Source(), task.Target(), config)
+                  .Learn(folds[0], &folds[1], rng);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? TrajectoryText(*result) : std::string();
+  }
+
+  static void ExpectTrajectoryGolden(const MatchingTask& task,
+                                     const std::string& name) {
+    const std::string reference = Run(task, 1);
+    ExpectMatchesGolden(reference, name);
+    EXPECT_EQ(Run(task, 4), reference) << "at 4 threads";
+    for (size_t threads : {1u, 4u}) {
+      EXPECT_EQ(Run(task, threads, Path::kLegacy), reference)
+          << "legacy single-population loop at " << threads << " threads";
+      EXPECT_EQ(Run(task, threads, Path::kUncachedDistances), reference)
+          << "without the distance cache at " << threads << " threads";
+    }
+  }
+};
+
+TEST_F(GoldenLearnTest, RestaurantTrajectory) {
+  RestaurantConfig config;
+  config.scale = 0.3;
+  ExpectTrajectoryGolden(GenerateRestaurant(config), "learn_restaurant.txt");
+}
+
+TEST_F(GoldenLearnTest, CoraTrajectory) {
+  CoraConfig config;
+  config.scale = 0.05;
+  ExpectTrajectoryGolden(GenerateCora(config), "learn_cora.txt");
 }
 
 }  // namespace
