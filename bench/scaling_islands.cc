@@ -1,21 +1,17 @@
-// Island-count scaling of the GenLink search (gp/islands.h): one
+// Island-count scaling of the GenLink search (gp/islands.cc): one
 // learning run per island count on Restaurant and Cora at the SAME
 // total evaluation budget — the base population is split evenly across
 // the islands, so every configuration breeds and scores the same number
-// of rules per generation — measuring wall time and gating two
-// invariants:
-//
-//   1. num_islands = 1 must reproduce the legacy single-population
-//      trajectory (LearnSinglePopulation) bit for bit: same best rule,
-//      same per-iteration train/validation F1. A divergence makes the
-//      bench exit non-zero, so CI's bench-smoke step doubles as the
-//      island refactor's regression gate.
-//   2. Results must not depend on the thread count (checked for the
-//      4-island configuration at 1 vs hardware threads).
+// of rules per generation — measuring wall time and gating one
+// invariant: results must not depend on the thread count (checked for
+// the 4-island configuration at 1 vs hardware threads). A divergence
+// makes the bench exit non-zero, so CI's bench-smoke step doubles as a
+// regression gate. (The 1-island trajectory itself is pinned by the
+// goldens in tests/golden/learn_*.txt.)
 //
 // Emits BENCH_scaling_islands.json; `extra` carries the island count,
 // the per-island population, the speedup vs the 1-island run and the
-// gate outcomes. Wall-clock speedup comes from breeding in parallel
+// gate outcome. Wall-clock speedup comes from breeding in parallel
 // (one task per island) and from the cross-island fitness memo, so it
 // needs real cores: `extra.hardware_concurrency` records what the
 // machine offered — on a 1-core container all speedups are ~1.
@@ -27,7 +23,7 @@
 
 #include "datasets/cora.h"
 #include "datasets/restaurant.h"
-#include "gp/islands.h"
+#include "gp/genlink.h"
 #include "harness.h"
 #include "rule/serialize.h"
 
@@ -39,7 +35,7 @@ namespace {
 constexpr uint64_t kSeed = 8017;
 
 // The deterministic outcome of one learning run: everything that must
-// be identical between the 1-island configuration and the legacy loop.
+// be identical between thread counts.
 struct RunMeasurement {
   bool ok = false;
   double seconds = 0.0;
@@ -100,18 +96,6 @@ RunMeasurement RunIslands(const MatchingTask& task, const GenLinkConfig& config)
   return Measure(result, seconds);
 }
 
-RunMeasurement RunLegacy(const MatchingTask& task, const GenLinkConfig& config) {
-  Rng rng(kSeed);
-  auto folds = task.links.SplitFolds(2, rng);
-  auto start = std::chrono::steady_clock::now();
-  auto result = LearnSinglePopulation(task.Source(), task.Target(), config,
-                                      folds[0], &folds[1], rng);
-  double seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  return Measure(result, seconds);
-}
-
 bool Identical(const RunMeasurement& a, const RunMeasurement& b) {
   return a.ok && b.ok && a.rule_hash == b.rule_hash &&
          a.rule_sexpr == b.rule_sexpr && a.trajectory == b.trajectory;
@@ -139,7 +123,7 @@ int main() {
   std::printf("base population %zu, %zu iterations, %u hardware threads\n",
               base_population, scale.iterations, hardware);
 
-  bool gates_pass = true;
+  bool gate_passes = true;
   std::vector<BenchRecord> records;
   for (size_t t = 0; t < tasks.size(); ++t) {
     const MatchingTask& task = tasks[t];
@@ -148,13 +132,8 @@ int main() {
                 task.links.positives().size(),
                 task.links.negatives().size());
 
-    // The reference: the legacy single-population loop at the full base
-    // population. Warm-up first so first-touch costs do not bias it.
-    GenLinkConfig legacy_config = MakeConfig(scale, base_population, 1, 0);
-    RunLegacy(task, legacy_config);
-    RunMeasurement legacy = RunLegacy(task, legacy_config);
-    std::printf("  legacy      %6.2fs  train F1 %.3f  val F1 %.3f\n",
-                legacy.seconds, legacy.train_f1, legacy.val_f1);
+    // Warm-up first so first-touch costs do not bias the 1-island run.
+    RunIslands(task, MakeConfig(scale, base_population, 1, 0));
 
     double island1_seconds = 0.0;
     for (size_t num_islands : {1, 2, 4, 8}) {
@@ -163,25 +142,14 @@ int main() {
       RunMeasurement m = RunIslands(task, config);
       if (num_islands == 1) island1_seconds = m.seconds;
 
-      // Gate 1: one island == the legacy loop, bit for bit.
-      bool identical_to_legacy = num_islands != 1 || Identical(m, legacy);
-      if (!identical_to_legacy) {
-        gates_pass = false;
-        std::fprintf(stderr,
-                     "ERROR: 1-island run diverged from the legacy "
-                     "single-population trajectory on %s:\n  legacy: %s\n"
-                     "  islands: %s\n",
-                     task.name.c_str(), legacy.rule_sexpr.c_str(),
-                     m.rule_sexpr.c_str());
-      }
-      // Gate 2: thread-count invariance of the migrating configuration.
+      // Gate: thread-count invariance of the migrating configuration.
       bool thread_invariant = true;
       if (num_islands == 4 && hardware > 1) {
         GenLinkConfig serial = config;
         serial.num_threads = 1;
         thread_invariant = Identical(RunIslands(task, serial), m);
         if (!thread_invariant) {
-          gates_pass = false;
+          gate_passes = false;
           std::fprintf(stderr,
                        "ERROR: 4-island result depends on the thread count "
                        "on %s\n",
@@ -192,10 +160,8 @@ int main() {
       double speedup = m.seconds > 0.0 ? island1_seconds / m.seconds : 0.0;
       std::printf(
           "  islands=%zu   %6.2fs  train F1 %.3f  val F1 %.3f  "
-          "speedup vs 1 island %.2fx%s\n",
-          num_islands, m.seconds, m.train_f1, m.val_f1, speedup,
-          num_islands == 1 ? (Identical(m, legacy) ? "  [== legacy]" : "")
-                           : "");
+          "speedup vs 1 island %.2fx\n",
+          num_islands, m.seconds, m.train_f1, m.val_f1, speedup);
 
       BenchRecord record;
       record.dataset = task.name;
@@ -212,7 +178,6 @@ int main() {
           {"per_island_population",
            static_cast<double>(config.population_size)},
           {"speedup_vs_i1", speedup},
-          {"identical_to_legacy", identical_to_legacy ? 1.0 : 0.0},
           {"thread_invariant", thread_invariant ? 1.0 : 0.0},
           {"hardware_concurrency", static_cast<double>(hardware)},
       };
@@ -221,11 +186,10 @@ int main() {
   }
 
   WriteBenchJson("scaling_islands", scale, records);
-  if (!gates_pass) {
-    std::fprintf(stderr, "ERROR: island gates failed (see above)\n");
+  if (!gate_passes) {
+    std::fprintf(stderr, "ERROR: island gate failed (see above)\n");
     return 1;
   }
-  std::printf("\nisland gates passed: 1 island == legacy, results "
-              "thread-invariant\n");
+  std::printf("\nisland gate passed: results thread-invariant\n");
   return 0;
 }

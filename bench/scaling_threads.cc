@@ -31,7 +31,6 @@ namespace {
 
 struct RunMeasurement {
   size_t threads = 0;
-  bool cached = true;
   bool ok = false;
   double seconds = 0.0;
   double train_f1 = 0.0;
@@ -41,11 +40,9 @@ struct RunMeasurement {
 };
 
 RunMeasurement RunOnce(const MatchingTask& task, const BenchScale& scale,
-                       size_t threads, bool cached) {
+                       size_t threads) {
   GenLinkConfig config = MakeGenLinkConfig(scale);
   config.num_threads = threads;
-  config.cache_fitness = cached;
-  config.cache_distances = cached;
   // Disable early stopping: Restaurant reaches full training F1 within
   // a couple of generations, which would leave nothing to measure. A
   // scaling bench needs fixed work per configuration.
@@ -65,7 +62,6 @@ RunMeasurement RunOnce(const MatchingTask& task, const BenchScale& scale,
 
   RunMeasurement m;
   m.threads = threads;
-  m.cached = cached;
   m.seconds = elapsed;
   if (!result.ok()) {
     std::fprintf(stderr, "learn failed at %zu threads: %s\n", threads,
@@ -79,9 +75,9 @@ RunMeasurement RunOnce(const MatchingTask& task, const BenchScale& scale,
   m.rule_hash = CanonicalRuleHash(result->best_rule);
   m.rule_sexpr = ToSexpr(result->best_rule);
   std::printf(
-      "%-8s threads=%zu  %6.2fs  train F1 %.3f  val F1 %.3f  "
+      "threads=%zu  %6.2fs  train F1 %.3f  val F1 %.3f  "
       "fitness-hit %4.1f%%  distance-row-hit %4.1f%%\n",
-      cached ? "cached" : "nocache", threads, elapsed, m.train_f1, m.val_f1,
+      threads, elapsed, m.train_f1, m.val_f1,
       100.0 * result->eval_stats.FitnessHitRate(),
       100.0 * result->eval_stats.DistanceRowHitRate());
   return m;
@@ -104,33 +100,20 @@ int main() {
 
   // Warm-up run so first-touch costs (page faults, allocator growth) do
   // not bias the 1-thread measurement.
-  RunOnce(task, scale, 1, /*cached=*/true);
+  RunOnce(task, scale, 1);
 
-  // Two families: the engine with its caches (the production path) and
-  // with caching disabled (every string distance recomputed — the
-  // paper's implied cost model, and the workload whose thread-scaling
-  // is purest since it is compute-bound).
   std::vector<RunMeasurement> runs;
-  for (bool cached : {true, false}) {
-    for (size_t threads : {1, 2, 4, 8}) {
-      runs.push_back(RunOnce(task, scale, threads, cached));
-    }
+  for (size_t threads : {1, 2, 4, 8}) {
+    runs.push_back(RunOnce(task, scale, threads));
   }
-
-  auto family_t1_seconds = [&](bool cached) {
-    for (const RunMeasurement& m : runs) {
-      if (m.cached == cached && m.threads == 1) return m.seconds;
-    }
-    return 0.0;
-  };
+  const double t1_seconds = runs.front().seconds;
 
   bool deterministic = true;
   std::vector<BenchRecord> records;
   for (const RunMeasurement& m : runs) {
-    // Determinism must hold across thread counts AND cache settings:
-    // the caches are exact, so every run learns the same rule. A failed
-    // run fails the gate too — all-zero measurements must not pass it
-    // vacuously.
+    // Determinism must hold across thread counts: every run learns the
+    // same rule. A failed run fails the gate too — all-zero
+    // measurements must not pass it vacuously.
     bool identical = m.ok && runs.front().ok &&
                      m.rule_hash == runs.front().rule_hash &&
                      m.train_f1 == runs.front().train_f1 &&
@@ -138,15 +121,14 @@ int main() {
     deterministic = deterministic && identical;
     if (!identical && m.ok && runs.front().ok) {
       std::fprintf(stderr,
-                   "divergent rule at %s threads=%zu:\n  t1:  %s\n  now: %s\n",
-                   m.cached ? "cached" : "nocache", m.threads,
-                   runs.front().rule_sexpr.c_str(), m.rule_sexpr.c_str());
+                   "divergent rule at threads=%zu:\n  t1:  %s\n  now: %s\n",
+                   m.threads, runs.front().rule_sexpr.c_str(),
+                   m.rule_sexpr.c_str());
     }
-    double t1 = family_t1_seconds(m.cached);
+    const double speedup = m.seconds > 0.0 ? t1_seconds / m.seconds : 0.0;
     BenchRecord record;
     record.dataset = "restaurant";
-    record.system = std::string("genlink/") + (m.cached ? "" : "nocache/") +
-                    "threads=" + std::to_string(m.threads);
+    record.system = "genlink/threads=" + std::to_string(m.threads);
     record.data_scale = data.scale;
     record.population = scale.population;
     record.iterations = scale.iterations;
@@ -156,28 +138,19 @@ int main() {
     record.seconds = {m.seconds, 0.0};
     record.extra = {
         {"threads", static_cast<double>(m.threads)},
-        {"cached", m.cached ? 1.0 : 0.0},
-        {"speedup_vs_t1", m.seconds > 0.0 ? t1 / m.seconds : 0.0},
+        {"speedup_vs_t1", speedup},
         {"rule_identical_to_t1", identical ? 1.0 : 0.0},
         {"hardware_concurrency", static_cast<double>(hardware)},
     };
     records.push_back(std::move(record));
   }
 
-  for (bool cached : {true, false}) {
-    std::printf("\n%s speedup vs its 1-thread run:",
-                cached ? "cached" : "nocache");
-    double t1 = family_t1_seconds(cached);
-    for (const RunMeasurement& m : runs) {
-      if (m.cached != cached) continue;
-      std::printf("  t%zu: %.2fx", m.threads,
-                  m.seconds > 0.0 ? t1 / m.seconds : 0.0);
-    }
+  std::printf("\nspeedup vs the 1-thread run:");
+  for (const RunMeasurement& m : runs) {
+    std::printf("  t%zu: %.2fx", m.threads,
+                m.seconds > 0.0 ? t1_seconds / m.seconds : 0.0);
   }
-  double cache_win = family_t1_seconds(true) > 0.0
-                         ? family_t1_seconds(false) / family_t1_seconds(true)
-                         : 0.0;
-  std::printf("\ncache speedup at 1 thread: %.2fx\n", cache_win);
+  std::printf("\n");
 
   if (!deterministic) {
     std::fprintf(stderr,

@@ -24,13 +24,15 @@
 //   4. Thread pool — plan evaluation, distance rows and cache-missing
 //      rules are evaluated in parallel on common/thread_pool.
 //
-// Determinism invariants (relied on by tests/determinism_test.cc and
-// tests/engine_test.cc):
+// Determinism invariants (checked rule by rule against the serial
+// FitnessEvaluator by tests/engine_test.cc and tests/rule_oracle_test.cc,
+// across thread counts by tests/determinism_test.cc, and end to end by
+// the learner goldens tests/golden/learn_*.txt):
 //   * Results are bit-identical to the serial FitnessEvaluator path:
-//     a raw distance is the same double whether recomputed or cached
-//     (empty value sets are stored as kInfiniteDistance, which
-//     ThresholdedScore maps to the same 0.0 score the serial
-//     short-circuit produces), and the rule's program
+//     a raw distance is the same double whether computed per pair or
+//     read from a cached row (empty value sets are stored as
+//     kInfiniteDistance, which ThresholdedScore maps to the same 0.0
+//     score the serial short-circuit produces), and the rule's program
 //     (rule/rule_program.h) hands every aggregation the same operand
 //     scores and weights the operator tree does.
 //   * Results are independent of the thread count: each distance row
@@ -67,25 +69,11 @@
 
 namespace genlink {
 
-/// Engine knobs. The defaults are right for learning runs; the cache
-/// toggles exist for A/B testing and for the engine's own tests.
+/// Engine knobs. The caches are always on; their memory budgets are
+/// constants of eval/engine.cc.
 struct EngineConfig {
   /// Worker threads (0 = hardware concurrency).
   size_t num_threads = 0;
-  /// Memoize whole-rule FitnessResults by canonical hash.
-  bool cache_fitness = true;
-  /// Precompute per-pair raw distances by comparison signature. Cold
-  /// rows are computed from the value store (eval/value_store.h); off,
-  /// every rule is scored by the serial FitnessEvaluator.
-  bool cache_distances = true;
-  /// Fitness memo entry bound; the memo is cleared when exceeded.
-  size_t max_fitness_entries = 1 << 18;
-  /// Approximate byte budget for distance rows; rows are cleared between
-  /// batches when the budget would be exceeded.
-  size_t max_distance_bytes = 128u << 20;
-  /// Approximate byte budget for the value store (string pool + plans);
-  /// the store is cleared between batches when exceeded.
-  size_t max_store_bytes = 256u << 20;
 };
 
 /// Cumulative counters over the engine's lifetime. Updated only in the
@@ -174,8 +162,8 @@ class EvaluationEngine {
     return stats_;
   }
 
-  /// The engine's worker pool, shared with the search layer: the island
-  /// model (gp/islands.h) breeds its populations on the same threads
+  /// The engine's worker pool, shared with the search layer: the
+  /// learner (gp/islands.cc) breeds its populations on the same threads
   /// that evaluate fitness, so one pool serves the whole learning loop.
   /// Breeding and evaluation never overlap (the learner alternates
   /// them), so the sharing needs no extra synchronization.
@@ -205,8 +193,6 @@ class EvaluationEngine {
 
   std::span<const LabeledPair> pairs_;
   FitnessConfig fitness_config_;
-  EngineConfig config_;
-  FitnessEvaluator serial_;
   ThreadPool pool_;
   /// Discipline token for the engine's phase structure: held by
   /// EvaluateBatch's serial stretches, never by worker tasks. Mutable
@@ -220,10 +206,10 @@ class EvaluationEngine {
   /// row written by exactly one task.
   std::unordered_map<uint64_t, std::vector<double>> distance_rows_
       GENLINK_GUARDED_BY(serial_phase_);
-  /// Per-entity transform plans + interned values (null without the
-  /// distance cache, which is its only consumer).
-  /// Mutated only by CompileBatch in the serial phase 2b; frozen and
-  /// read-shared during the parallel row fill (docs/CONCURRENCY.md).
+  /// Per-entity transform plans + interned values, the source of every
+  /// cold distance row. Mutated only by CompileBatch in the serial
+  /// phase 2b; frozen and read-shared during the parallel row fill
+  /// (docs/CONCURRENCY.md).
   std::unique_ptr<ValueStore> store_;
   /// Training-pair index -> store entity index, per side.
   std::vector<uint32_t> pair_source_index_;

@@ -13,8 +13,10 @@
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <utility>
 
 #include "eval/cross_validation.h"
+#include "eval/engine.h"
 #include "eval/fitness.h"
 #include "gp/compatible_properties.h"
 #include "gp/crossover.h"
@@ -56,25 +58,15 @@ struct GenLinkConfig {
 
   FitnessConfig fitness;
   CompatiblePropertyConfig seeding;
-  /// Extra generator knobs (mode/seeded fields are overwritten from the
-  /// fields above).
-  RuleGeneratorConfig generator;
 
   /// Worker threads for fitness evaluation (0 = hardware concurrency).
   size_t num_threads = 0;
-  /// Memoize whole-rule fitness results across generations (see
-  /// eval/engine.h). Off only for A/B measurements.
-  bool cache_fitness = true;
-  /// Precompute per-pair raw distances per comparison signature (see
-  /// eval/engine.h). Off only for A/B measurements.
-  bool cache_distances = true;
 
-  /// ---- Island model (gp/islands.h; an extension beyond Algorithm 1,
+  /// ---- Island model (gp/islands.cc; an extension beyond Algorithm 1,
   /// off by default). Number of independent populations, each of
   /// `population_size` rules with its own deterministic RNG stream,
   /// bred in parallel and evaluated through one shared engine. 1 is the
-  /// paper's single-population algorithm, bit-identical to the legacy
-  /// loop.
+  /// paper's single-population algorithm.
   size_t num_islands = 1;
   /// Every `migration_interval` generations the best `migration_size`
   /// rules of each island replace the worst rules of its ring neighbor
@@ -120,11 +112,15 @@ using IterationCallback =
 /// The GenLink learner for one pair of datasets.
 class GenLink {
  public:
-  GenLink(const Dataset& a, const Dataset& b, GenLinkConfig config = {});
+  GenLink(const Dataset& a, const Dataset& b, GenLinkConfig config = {})
+      : a_(&a), b_(&b), config_(std::move(config)) {}
 
-  /// Learns a linkage rule from `train`. When `validation` is non-null,
+  /// Learns a linkage rule from `train` with `config().num_islands`
+  /// populations (gp/islands.cc). When `validation` is non-null,
   /// per-iteration validation scores of the current best rule are
-  /// recorded in the trajectory. `callback` may be null.
+  /// recorded in the trajectory. `callback` receives the merged
+  /// iteration stats and the leading island's population; it may be
+  /// null. Fails with InvalidArgument when `population_size` is 0.
   Result<LearnResult> Learn(const ReferenceLinkSet& train,
                             const ReferenceLinkSet* validation, Rng& rng,
                             const IterationCallback& callback = nullptr) const;

@@ -1,4 +1,33 @@
-#include "gp/islands.h"
+// GenLink::Learn: the GenLink evolution loop (Algorithm 1) run over
+// K independent populations (the island model; K = 1 is the paper's
+// single-population algorithm).
+//
+// Each island is a full GenLink population with its own deterministic
+// RNG stream split from the master seed. Islands breed in parallel on
+// the evaluation engine's thread pool — breeding (selection, crossover,
+// duplicate suppression) is otherwise the one serial stretch of a
+// generation — while all islands route fitness through ONE shared
+// memoized engine, so the fitness memo and the distance-row cache are
+// cross-island: a rule bred on island 2 that island 0 already evaluated
+// is a cache hit, and a comparison subtree shared between islands
+// computes its distance row once.
+//
+// Every `migration_interval` generations the best `migration_size`
+// rules of each island replace the worst rules of its ring neighbor
+// (island i sends to island i+1 mod K). Selection of emigrants and of
+// the replaced individuals is tie-broken by the rules' structural hash
+// (name-based, process-stable), so migration is fully reproducible.
+// The run stops early as soon as ANY island reaches stop_f_measure.
+//
+// Determinism invariants (tests/determinism_test.cc,
+// tests/golden_links_test.cc, bench/scaling_islands.cc):
+//   * num_islands = 1 draws from the master RNG itself, in the paper's
+//     single-population order, and skips migration. The trajectory
+//     goldens (tests/golden/learn_*.txt) pin that order bit for bit.
+//   * Results are independent of the thread count: each island's
+//     breeding task touches only that island's state and RNG stream,
+//     evaluation goes through the engine's thread-invariant batch path,
+//     and migration runs in the serial phase between generations.
 
 #include <algorithm>
 #include <atomic>
@@ -12,6 +41,7 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "eval/metrics.h"
+#include "gp/genlink.h"
 #include "gp/selection.h"
 #include "rule/serialize.h"
 
@@ -38,7 +68,7 @@ struct SearchSetup {
 };
 
 // Resolves the labelled pairs, builds the shared engine and — drawing
-// from the master RNG exactly like the legacy loop did — runs the
+// from the master RNG before any island stream is split off — runs the
 // seeding step (Section 5.1 / Algorithm 2) and constructs the rule
 // generator and crossover set.
 Result<SearchSetup> PrepareSearch(const Dataset& a, const Dataset& b,
@@ -60,8 +90,6 @@ Result<SearchSetup> PrepareSearch(const Dataset& a, const Dataset& b,
 
   EngineConfig engine_config;
   engine_config.num_threads = config.num_threads;
-  engine_config.cache_fitness = config.cache_fitness;
-  engine_config.cache_distances = config.cache_distances;
   setup.engine = std::make_unique<EvaluationEngine>(
       setup.train_pairs, a.schema(), b.schema(), config.fitness, engine_config);
 
@@ -70,7 +98,7 @@ Result<SearchSetup> PrepareSearch(const Dataset& a, const Dataset& b,
     setup.compatible_pairs =
         FindCompatibleProperties(a, b, train, config.seeding, rng);
   }
-  RuleGeneratorConfig gen_config = config.generator;
+  RuleGeneratorConfig gen_config;
   gen_config.mode = config.mode;
   gen_config.seeded =
       config.seeded_population && !setup.compatible_pairs.empty();
@@ -171,8 +199,8 @@ void BreedNextGeneration(
 
 // One island: a population, its breeding double-buffer, its RNG stream
 // and its trajectory. `stream` points at `rng`, except in the
-// single-island configuration where it points at the master RNG so the
-// draw sequence matches the legacy loop exactly.
+// single-island configuration where it points at the master RNG (the
+// paper's single-population draw order).
 struct Island {
   Population population;
   Population scratch;
@@ -188,10 +216,10 @@ struct Island {
   std::unordered_map<uint64_t, std::pair<double, double>> val_memo;
 };
 
-// Cross-island coordination state of one LearnIslands run. Everything
-// else an island task touches is that island's own (population, RNG
-// stream, trajectory — disjoint by index, see the determinism
-// invariants in the header); the two pieces that ARE shared live here,
+// Cross-island coordination state of one Learn run. Everything else an
+// island task touches is that island's own (population, RNG stream,
+// trajectory — disjoint by index, see the determinism invariants at the
+// top of this file); the two pieces that ARE shared live here,
 // each with its concurrency regime made explicit.
 struct SearchPhaseState {
   /// The global early-stop flag: set by any island's record task once
@@ -216,8 +244,7 @@ struct SearchPhaseState {
 // Evaluates every unevaluated individual of every island through ONE
 // engine batch (islands in index order, individuals in population
 // order). Cross-island duplicates dedup inside the batch and all
-// islands share the fitness memo and distance rows. For a single
-// island this is exactly EvaluatePopulation.
+// islands share the fitness memo and distance rows.
 void EvaluateIslands(std::vector<Island>& islands, EvaluationEngine& engine) {
   std::vector<std::pair<size_t, size_t>> where;  // (island, individual)
   std::vector<const LinkageRule*> rules;
@@ -316,11 +343,16 @@ void Migrate(std::vector<Island>& islands, size_t migration_size,
 
 }  // namespace
 
-Result<LearnResult> LearnIslands(const Dataset& a, const Dataset& b,
-                                 const GenLinkConfig& config,
-                                 const ReferenceLinkSet& train,
-                                 const ReferenceLinkSet* validation, Rng& rng,
-                                 const IterationCallback& callback) {
+Result<LearnResult> GenLink::Learn(const ReferenceLinkSet& train,
+                                   const ReferenceLinkSet* validation, Rng& rng,
+                                   const IterationCallback& callback) const {
+  if (config_.population_size == 0) {
+    return Status::InvalidArgument(
+        "GenLinkConfig::population_size must be at least 1");
+  }
+  const Dataset& a = *a_;
+  const Dataset& b = *b_;
+  const GenLinkConfig& config = config_;
   auto start = Clock::now();
   const size_t num_islands = std::max<size_t>(1, config.num_islands);
 
@@ -335,8 +367,8 @@ Result<LearnResult> LearnIslands(const Dataset& a, const Dataset& b,
   SearchPhaseState state;
 
   // --- Island setup. The single-island stream IS the master RNG (the
-  // legacy draw order); K > 1 splits one child stream per island off
-  // the master, in island order.
+  // paper's single-population draw order); K > 1 splits one child
+  // stream per island off the master, in island order.
   std::vector<Island> islands(num_islands);
   if (num_islands == 1) {
     islands[0].stream = &rng;
@@ -371,8 +403,7 @@ Result<LearnResult> LearnIslands(const Dataset& a, const Dataset& b,
       }
       total += island.population.size();
     }
-    result.initial_population_mean_f1 =
-        total == 0 ? 0.0 : f1_sum / static_cast<double>(total);
+    result.initial_population_mean_f1 = f1_sum / static_cast<double>(total);
   }
 
   // Records per-iteration statistics for every island plus the merged
@@ -422,7 +453,7 @@ Result<LearnResult> LearnIslands(const Dataset& a, const Dataset& b,
     size_t total = 0;
     for (const Island& island : islands) {
       // Same accumulation order as Population::MeanOperatorCount, so a
-      // single island reproduces the legacy mean bit for bit.
+      // single island's mean is that population's mean bit for bit.
       for (const auto& individual : island.population.individuals()) {
         // lint:allow(float-accum) -- serial merge phase, fixed island/population order
         operator_sum += static_cast<double>(individual.rule.OperatorCount());
@@ -430,8 +461,7 @@ Result<LearnResult> LearnIslands(const Dataset& a, const Dataset& b,
       total += island.population.size();
     }
     IterationStats merged = islands[leader].last;
-    merged.mean_operators =
-        total == 0 ? 0.0 : operator_sum / static_cast<double>(total);
+    merged.mean_operators = operator_sum / static_cast<double>(total);
     result.trajectory.iterations.push_back(merged);
     if (callback) callback(merged, islands[leader].population);
   };
@@ -494,90 +524,6 @@ Result<LearnResult> LearnIslands(const Dataset& a, const Dataset& b,
             : island.trajectory.iterations.back().val_f1;
     result.island_trajectories.push_back(std::move(island.trajectory));
   }
-  return result;
-}
-
-Result<LearnResult> LearnSinglePopulation(const Dataset& a, const Dataset& b,
-                                          const GenLinkConfig& config,
-                                          const ReferenceLinkSet& train,
-                                          const ReferenceLinkSet* validation,
-                                          Rng& rng,
-                                          const IterationCallback& callback) {
-  auto start = Clock::now();
-
-  auto setup = PrepareSearch(a, b, config, train, validation, rng);
-  if (!setup.ok()) return setup.status();
-  EvaluationEngine& engine = *setup->engine;
-  const RuleGenerator& generator = *setup->generator;
-
-  LearnResult result;
-  result.compatible_pairs = setup->compatible_pairs;
-
-  // --- Initial population.
-  Population population;
-  population.Reserve(config.population_size);
-  for (size_t i = 0; i < config.population_size; ++i) {
-    population.Add(Individual{generator.RandomRule(rng), {}, false});
-  }
-  EvaluatePopulation(population, engine);
-
-  {
-    double f1_sum = 0.0;
-    for (const auto& ind : population.individuals()) {
-      // lint:allow(float-accum) -- serial loop over the population vector in index order
-      f1_sum += ind.fitness.f_measure;
-    }
-    result.initial_population_mean_f1 =
-        f1_sum / static_cast<double>(population.size());
-  }
-
-  // Records per-iteration statistics; `iteration` 0 is the initial
-  // population, matching the tables in Section 6.2 of the paper.
-  auto record = [&](size_t iteration) {
-    size_t best = population.BestIndex();
-    const Individual& best_ind = population[best];
-    IterationStats stats;
-    stats.iteration = iteration;
-    stats.seconds = SecondsSince(start);
-    stats.train_f1 = best_ind.fitness.f_measure;
-    stats.train_mcc = best_ind.fitness.mcc;
-    stats.mean_operators = population.MeanOperatorCount();
-    stats.best_operators = static_cast<double>(best_ind.rule.OperatorCount());
-    if (!setup->val_pairs.empty()) {
-      ConfusionMatrix cm = EvaluateRuleOnPairs(best_ind.rule, setup->val_pairs,
-                                               a.schema(), b.schema());
-      stats.val_f1 = FMeasure(cm);
-      stats.val_mcc = MatthewsCorrelation(cm);
-    }
-    result.trajectory.iterations.push_back(stats);
-    if (callback) callback(stats, population);
-    return stats;
-  };
-
-  IterationStats last = record(0);
-
-  // --- Evolution loop (Algorithm 1).
-  Population next;
-  next.Reserve(config.population_size);
-  for (size_t iteration = 1; iteration <= config.max_iterations &&
-                             last.train_f1 < config.stop_f_measure;
-       ++iteration) {
-    BreedNextGeneration(population, next, generator, setup->crossover_set,
-                        config, rng);
-    std::swap(population, next);
-    EvaluatePopulation(population, engine);
-    last = record(iteration);
-  }
-
-  const Individual& best = population[population.BestIndex()];
-  result.eval_stats = engine.stats();
-  result.best_rule = best.rule.Clone();
-  result.trajectory.best_rule_sexpr = ToPrettySexpr(result.best_rule);
-  result.trajectory.final_val_f1 =
-      result.trajectory.iterations.empty()
-          ? 0.0
-          : result.trajectory.iterations.back().val_f1;
-  result.island_trajectories.push_back(result.trajectory);
   return result;
 }
 

@@ -15,17 +15,6 @@ size_t Population::BestIndex() const {
   return best;
 }
 
-size_t Population::BestByFMeasureIndex() const {
-  assert(!individuals_.empty());
-  size_t best = 0;
-  for (size_t i = 1; i < individuals_.size(); ++i) {
-    if (individuals_[i].fitness.f_measure > individuals_[best].fitness.f_measure) {
-      best = i;
-    }
-  }
-  return best;
-}
-
 double Population::MeanOperatorCount() const {
   if (individuals_.empty()) return 0.0;
   double sum = 0.0;
@@ -34,22 +23,6 @@ double Population::MeanOperatorCount() const {
     sum += static_cast<double>(ind.rule.OperatorCount());
   }
   return sum / static_cast<double>(individuals_.size());
-}
-
-void EvaluatePopulation(Population& population, EvaluationEngine& engine) {
-  std::vector<size_t> indices;
-  std::vector<const LinkageRule*> rules;
-  for (size_t i = 0; i < population.size(); ++i) {
-    if (population[i].evaluated) continue;
-    indices.push_back(i);
-    rules.push_back(&population[i].rule);
-  }
-  std::vector<FitnessResult> results(rules.size());
-  engine.EvaluateBatch(rules, results);
-  for (size_t k = 0; k < indices.size(); ++k) {
-    population[indices[k]].fitness = results[k];
-    population[indices[k]].evaluated = true;
-  }
 }
 
 }  // namespace genlink

@@ -1,13 +1,13 @@
-// Population of candidate linkage rules with cached fitness. Evaluation
-// is routed through the evaluation engine (eval/engine.h), which owns
-// the thread pool, the fitness memo and the distance cache.
+// Population of candidate linkage rules with cached fitness. The
+// learner (gp/islands.cc) fills the fitness of unevaluated individuals
+// through the evaluation engine (eval/engine.h).
 
 #ifndef GENLINK_GP_POPULATION_H_
 #define GENLINK_GP_POPULATION_H_
 
 #include <vector>
 
-#include "eval/engine.h"
+#include "eval/fitness.h"
 #include "rule/linkage_rule.h"
 
 namespace genlink {
@@ -51,20 +51,12 @@ class Population {
   /// non-empty, evaluated population.
   size_t BestIndex() const;
 
-  /// Index of the individual with the highest training F-measure (used
-  /// for the stop condition and reporting).
-  size_t BestByFMeasureIndex() const;
-
   /// Mean operator count across the population (bloat metric).
   double MeanOperatorCount() const;
 
  private:
   std::vector<Individual> individuals_;
 };
-
-/// Evaluates all unevaluated individuals through `engine` (parallel,
-/// memoized; see eval/engine.h for the determinism invariants).
-void EvaluatePopulation(Population& population, EvaluationEngine& engine);
 
 }  // namespace genlink
 

@@ -9,7 +9,6 @@
 #include "datasets/sider_drugbank.h"
 #include "gp/crossover.h"
 #include "gp/genlink.h"
-#include "gp/islands.h"
 #include "rule/serialize.h"
 
 namespace genlink {
@@ -64,17 +63,27 @@ TEST_F(ThreadInvarianceTest, PopulationEvaluationIndependentOfThreadCount) {
     return population;
   };
 
+  // One engine batch over the whole population, as the learner does.
+  auto evaluate = [&](Population& population, size_t threads) {
+    EngineConfig config;
+    config.num_threads = threads;
+    EvaluationEngine engine(*pairs, task_.Source().schema(),
+                            task_.Target().schema(), {}, config);
+    std::vector<const LinkageRule*> rules;
+    for (const Individual& individual : population.individuals()) {
+      rules.push_back(&individual.rule);
+    }
+    std::vector<FitnessResult> results(rules.size());
+    engine.EvaluateBatch(rules, results);
+    for (size_t i = 0; i < population.size(); ++i) {
+      population[i].fitness = results[i];
+    }
+  };
+
   Population p1 = build_population();
   Population p4 = build_population();
-  EngineConfig config1, config4;
-  config1.num_threads = 1;
-  config4.num_threads = 4;
-  EvaluationEngine engine1(*pairs, task_.Source().schema(),
-                           task_.Target().schema(), {}, config1);
-  EvaluationEngine engine4(*pairs, task_.Source().schema(),
-                           task_.Target().schema(), {}, config4);
-  EvaluatePopulation(p1, engine1);
-  EvaluatePopulation(p4, engine4);
+  evaluate(p1, 1);
+  evaluate(p4, 4);
   ASSERT_EQ(p1.size(), p4.size());
   for (size_t i = 0; i < p1.size(); ++i) {
     EXPECT_DOUBLE_EQ(p1[i].fitness.fitness, p4[i].fitness.fitness) << i;
@@ -176,36 +185,6 @@ TEST_F(IslandDeterminismTest, PerGenerationMigrationIsDeterministic) {
   EXPECT_EQ(single, Run(4, 8, 1));
 }
 
-// The island engine with num_islands = 1 is the production path behind
-// GenLink::Learn; it must reproduce the legacy single-population loop
-// bit for bit at any thread count (the refactor gate).
-TEST_F(IslandDeterminismTest, SingleIslandMatchesLegacySinglePopulation) {
-  GenLinkConfig config;
-  config.population_size = 32;
-  config.max_iterations = 5;
-  for (size_t threads : {1u, 4u}) {
-    config.num_threads = threads;
-
-    Rng legacy_rng(2024);
-    auto legacy_folds = task_.links.SplitFolds(2, legacy_rng);
-    auto legacy = LearnSinglePopulation(task_.Source(), task_.Target(), config,
-                                        legacy_folds[0], &legacy_folds[1],
-                                        legacy_rng);
-    ASSERT_TRUE(legacy.ok());
-
-    Rng island_rng(2024);
-    auto island_folds = task_.links.SplitFolds(2, island_rng);
-    auto island = LearnIslands(task_.Source(), task_.Target(), config,
-                               island_folds[0], &island_folds[1], island_rng);
-    ASSERT_TRUE(island.ok());
-
-    EXPECT_EQ(Fingerprint(*legacy), Fingerprint(*island))
-        << "at " << threads << " threads";
-    EXPECT_EQ(ToSexpr(legacy->best_rule), ToSexpr(island->best_rule));
-    ASSERT_EQ(island->island_trajectories.size(), 1u);
-  }
-}
-
 // Multiple islands explore genuinely different populations: with
 // distinct per-island RNG streams the islands must not all evolve the
 // same trajectory (they may still converge to the same best rule).
@@ -215,9 +194,9 @@ TEST_F(IslandDeterminismTest, IslandsEvolveIndependentPopulations) {
   config.max_iterations = 3;
   config.num_islands = 3;
   config.migration_interval = 0;  // isolation: no mixing at all
+  GenLink learner(task_.Source(), task_.Target(), config);
   Rng rng(5);
-  auto result = LearnIslands(task_.Source(), task_.Target(), config,
-                             task_.links, nullptr, rng);
+  auto result = learner.Learn(task_.links, nullptr, rng);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->island_trajectories.size(), 3u);
   bool any_difference = false;

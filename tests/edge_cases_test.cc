@@ -107,6 +107,25 @@ TEST_F(GenLinkEdgeTest, ZeroIterationsReturnsInitialBest) {
   EXPECT_FALSE(result->best_rule.empty());
 }
 
+// An empty population has no best rule to report: Learn must refuse it
+// by name instead of indexing into nothing.
+TEST_F(GenLinkEdgeTest, ZeroPopulationIsInvalidArgument) {
+  for (size_t islands : {1u, 2u}) {
+    GenLinkConfig config;
+    config.population_size = 0;
+    config.num_islands = islands;
+    config.num_threads = 1;
+    GenLink learner(a_, b_, config);
+    Rng rng(2);
+    auto result = learner.Learn(links_, nullptr, rng);
+    ASSERT_FALSE(result.ok()) << islands << " islands";
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("population_size"),
+              std::string::npos)
+        << result.status().ToString();
+  }
+}
+
 TEST_F(GenLinkEdgeTest, PopulationOfOneStillWorks) {
   GenLinkConfig config;
   config.population_size = 1;

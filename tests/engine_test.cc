@@ -1,6 +1,6 @@
 // The evaluation engine's contract (eval/engine.h): results bit-identical
-// to the serial FitnessEvaluator with or without its caches, identical
-// learning runs at 1/4/8 threads, and caches that actually hit.
+// to the serial FitnessEvaluator, identical learning runs at 1/4/8
+// threads, and caches that actually hit.
 
 #include <gtest/gtest.h>
 
@@ -147,18 +147,6 @@ TEST_F(EngineTest, BitIdenticalToSerialEvaluator) {
   }
 }
 
-TEST_F(EngineTest, DistanceCacheDoesNotChangeResults) {
-  EngineConfig with, without;
-  without.cache_distances = false;
-  EvaluationEngine cached(pairs_, task_.Source().schema(),
-                          task_.Target().schema(), {}, with);
-  EvaluationEngine uncached(pairs_, task_.Source().schema(),
-                            task_.Target().schema(), {}, without);
-  for (const LinkageRule& rule : RandomRules(60, 12)) {
-    EXPECT_EQ(cached.Evaluate(rule).fitness, uncached.Evaluate(rule).fitness);
-  }
-}
-
 TEST_F(EngineTest, ValueStoreDoesNotChangeResults) {
   EvaluationEngine store_engine(pairs_, task_.Source().schema(),
                                 task_.Target().schema());
@@ -261,13 +249,12 @@ class EngineLearnTest : public ::testing::Test {
     task_ = GenerateRestaurant(config);
   }
 
-  LearnResult Learn(size_t threads, bool cache_distances = true) {
+  LearnResult Learn(size_t threads) {
     GenLinkConfig config;
     config.population_size = 50;
     config.max_iterations = 5;
     config.stop_f_measure = 1.1;  // never stop early: exercise all 5
     config.num_threads = threads;
-    config.cache_distances = cache_distances;
     GenLink learner(task_.Source(), task_.Target(), config);
     Rng rng(2024);
     auto result = learner.Learn(task_.links, nullptr, rng);
@@ -300,26 +287,6 @@ TEST_F(EngineLearnTest, SameSeedSameTrajectoryAt148Threads) {
   }
 }
 
-// The cached path (distance rows from the value store, scored by the
-// rule program) learns exactly what the serial FitnessEvaluator learns.
-TEST_F(EngineLearnTest, SameTrajectoryAsUncachedDistances) {
-  LearnResult cached = Learn(1, /*cache_distances=*/true);
-  LearnResult uncached = Learn(1, /*cache_distances=*/false);
-
-  EXPECT_EQ(ToSexpr(cached.best_rule), ToSexpr(uncached.best_rule));
-  ASSERT_EQ(cached.trajectory.iterations.size(),
-            uncached.trajectory.iterations.size());
-  for (size_t i = 0; i < cached.trajectory.iterations.size(); ++i) {
-    EXPECT_EQ(cached.trajectory.iterations[i].train_f1,
-              uncached.trajectory.iterations[i].train_f1) << i;
-    EXPECT_EQ(cached.trajectory.iterations[i].train_mcc,
-              uncached.trajectory.iterations[i].train_mcc) << i;
-  }
-  EXPECT_GT(cached.eval_stats.value_plans_compiled, 0u);
-  EXPECT_GT(cached.eval_stats.value_plan_hits, 0u);
-  EXPECT_EQ(uncached.eval_stats.value_plans_compiled, 0u);
-}
-
 TEST_F(EngineLearnTest, CacheHitRatePositiveAfterGenerationTwo) {
   LearnResult result = Learn(1);
   const EngineStats& stats = result.eval_stats;
@@ -332,6 +299,9 @@ TEST_F(EngineLearnTest, CacheHitRatePositiveAfterGenerationTwo) {
   // The counters are consistent.
   EXPECT_EQ(stats.fitness_hits + stats.fitness_misses, stats.rules_evaluated);
   EXPECT_GT(stats.subtree_hits, 0u);
+  // Cold rows came from the value store, whose plans offspring reuse.
+  EXPECT_GT(stats.value_plans_compiled, 0u);
+  EXPECT_GT(stats.value_plan_hits, 0u);
 }
 
 }  // namespace

@@ -29,7 +29,6 @@
 #include "datasets/cora.h"
 #include "datasets/restaurant.h"
 #include "gp/genlink.h"
-#include "gp/islands.h"
 #include "io/link_io.h"
 #include "matcher/matcher.h"
 #include "rule/parse.h"
@@ -166,54 +165,36 @@ std::string TrajectoryText(const LearnResult& result) {
   return text;
 }
 
-class GoldenLearnTest : public ::testing::Test {
- protected:
-  enum class Path { kLearn, kLegacy, kUncachedDistances };
+// Population 32, 5 iterations, never stopping early; the links split
+// 2-fold from the master seed, training on fold 0 and validating on
+// fold 1 (so the validation numbers are pinned too).
+std::string LearnTrajectory(const MatchingTask& task, size_t threads) {
+  GenLinkConfig config;
+  config.population_size = 32;
+  config.max_iterations = 5;
+  config.stop_f_measure = 1.1;
+  config.num_threads = threads;
+  Rng rng(2024);
+  auto folds = task.links.SplitFolds(2, rng);
+  auto result = GenLink(task.Source(), task.Target(), config)
+                    .Learn(folds[0], &folds[1], rng);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  return result.ok() ? TrajectoryText(*result) : std::string();
+}
 
-  // Population 32, 5 iterations, never stopping early; the links split
-  // 2-fold from the master seed, training on fold 0 and validating on
-  // fold 1 (so the validation numbers are pinned too).
-  static std::string Run(const MatchingTask& task, size_t threads,
-                         Path path = Path::kLearn) {
-    GenLinkConfig config;
-    config.population_size = 32;
-    config.max_iterations = 5;
-    config.stop_f_measure = 1.1;
-    config.num_threads = threads;
-    config.cache_distances = path != Path::kUncachedDistances;
-    Rng rng(2024);
-    auto folds = task.links.SplitFolds(2, rng);
-    Result<LearnResult> result =
-        path == Path::kLegacy
-            ? LearnSinglePopulation(task.Source(), task.Target(), config,
-                                    folds[0], &folds[1], rng)
-            : GenLink(task.Source(), task.Target(), config)
-                  .Learn(folds[0], &folds[1], rng);
-    EXPECT_TRUE(result.ok()) << result.status().ToString();
-    return result.ok() ? TrajectoryText(*result) : std::string();
-  }
+void ExpectTrajectoryGolden(const MatchingTask& task, const std::string& name) {
+  const std::string reference = LearnTrajectory(task, 1);
+  ExpectMatchesGolden(reference, name);
+  EXPECT_EQ(LearnTrajectory(task, 4), reference) << "at 4 threads";
+}
 
-  static void ExpectTrajectoryGolden(const MatchingTask& task,
-                                     const std::string& name) {
-    const std::string reference = Run(task, 1);
-    ExpectMatchesGolden(reference, name);
-    EXPECT_EQ(Run(task, 4), reference) << "at 4 threads";
-    for (size_t threads : {1u, 4u}) {
-      EXPECT_EQ(Run(task, threads, Path::kLegacy), reference)
-          << "legacy single-population loop at " << threads << " threads";
-      EXPECT_EQ(Run(task, threads, Path::kUncachedDistances), reference)
-          << "without the distance cache at " << threads << " threads";
-    }
-  }
-};
-
-TEST_F(GoldenLearnTest, RestaurantTrajectory) {
+TEST(GoldenLearnTest, RestaurantTrajectory) {
   RestaurantConfig config;
   config.scale = 0.3;
   ExpectTrajectoryGolden(GenerateRestaurant(config), "learn_restaurant.txt");
 }
 
-TEST_F(GoldenLearnTest, CoraTrajectory) {
+TEST(GoldenLearnTest, CoraTrajectory) {
   CoraConfig config;
   config.scale = 0.05;
   ExpectTrajectoryGolden(GenerateCora(config), "learn_cora.txt");

@@ -15,8 +15,10 @@ Understands both JSON shapes the repo emits:
     "extra", and entries are keyed "<dataset>/<system>".
 
 Benches present in only one of the two files are reported but do not
-fail the check (benches come and go); a missing baseline FILE is an
-error so CI cannot silently skip a whole suite.
+fail the check (benches come and go). A gate that compares nothing is
+an error, so CI cannot silently skip a whole suite: a missing baseline
+FILE, a baseline that carries no value for the metric, and a current
+file that has the metric for none of the baseline's benches all fail.
 
 Usage:
   tools/compare_bench_json.py --baseline-dir bench/baselines \
@@ -83,12 +85,14 @@ def main():
         current = extract_metrics(load(current_path), args.metric)
         baseline = extract_metrics(load(baseline_path), args.metric)
         if not baseline:
-            print("note: baseline %s carries no '%s' values; nothing to check"
+            print("ERROR: baseline %s carries no '%s' values"
                   % (baseline_path, args.metric))
+            failures += 1
             continue
 
         print("== %s (metric: %s, min ratio %.2f)"
               % (os.path.basename(current_path), args.metric, args.min_ratio))
+        file_compared = 0
         for key in sorted(baseline):
             if key not in current:
                 print("   %-48s baseline-only (skipped)" % key)
@@ -97,7 +101,7 @@ def main():
             if base <= 0:
                 continue
             ratio = cur / base
-            compared += 1
+            file_compared += 1
             verdict = "ok"
             if ratio < args.min_ratio:
                 verdict = "REGRESSION"
@@ -106,6 +110,11 @@ def main():
                   % (key, base, cur, ratio, verdict))
         for key in sorted(set(current) - set(baseline)):
             print("   %-48s new bench (no baseline yet)" % key)
+        if file_compared == 0:
+            print("ERROR: %s compared no benches on '%s'"
+                  % (current_path, args.metric))
+            failures += 1
+        compared += file_compared
 
     if failures:
         print("FAIL: %d regression(s)/error(s) across %d compared benches"
