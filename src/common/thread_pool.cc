@@ -113,10 +113,11 @@ void ThreadPool::ParallelFor(size_t count, const std::function<void(size_t)>& fn
     const size_t end = std::min(count, begin + chunk);
     Submit([&, begin, end] {
       for (size_t i = begin; i < end; ++i) run_index(i);
-      if (remaining.fetch_sub(1) == 1) {
-        MutexLock lock(done_mutex);
-        done_cv.NotifyOne();
-      }
+      // Count down under done_mutex: the caller can only see zero (and
+      // return, destroying done_mutex and done_cv) once the last task
+      // has released the mutex.
+      MutexLock lock(done_mutex);
+      if (remaining.fetch_sub(1) == 1) done_cv.NotifyOne();
     });
   }
   {
@@ -148,10 +149,9 @@ void ThreadPool::ParallelForEach(size_t count,
   for (size_t i = 0; i < count; ++i) {
     Submit([&, i] {
       run_index(i);
-      if (remaining.fetch_sub(1) == 1) {
-        MutexLock lock(done_mutex);
-        done_cv.NotifyOne();
-      }
+      // Under done_mutex for the same reason as in ParallelFor.
+      MutexLock lock(done_mutex);
+      if (remaining.fetch_sub(1) == 1) done_cv.NotifyOne();
     });
   }
   {

@@ -151,6 +151,21 @@ TEST(ThreadPoolTest, CoversEveryIndexExactlyOnce) {
   EXPECT_TRUE(duplicated.empty());
 }
 
+// Back-to-back calls with near-empty tasks: a call returns as soon as
+// its last task counts down, and the next call reuses the same stack
+// slots for its own completion state, so a task that still touched the
+// finished call's mutex after counting down would race with (or lock)
+// the next call's. The TSan leg catches that race here.
+TEST(ThreadPoolTest, BackToBackCallsDoNotTouchFinishedCallState) {
+  ThreadPool pool(4);
+  std::atomic<size_t> calls{0};
+  for (int round = 0; round < 2000; ++round) {
+    pool.ParallelFor(8, [&](size_t) { calls.fetch_add(1); });
+    pool.ParallelForEach(3, [&](size_t) { calls.fetch_add(1); });
+  }
+  EXPECT_EQ(calls.load(), 2000u * 11u);
+}
+
 TEST(ThreadPoolTest, ZeroRequestedThreadsFallsBackToHardware) {
   ThreadPool pool(0);
   EXPECT_GE(pool.num_threads(), 1u);
