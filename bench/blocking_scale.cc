@@ -1,15 +1,12 @@
 // Blocking at scale on the synthetic person corpus: pairs completeness
 // vs candidate volume vs index-build throughput for the unweighted
-// token index, the rare-token weighted index (k = 6) and the sharded
-// weighted index (4 shards), at 10k (smoke), 100k (default) and 1M
-// (paper) entities.
+// token index and the rare-token weighted index (k = 6), at 10k
+// (smoke), 100k (default) and 1M (paper) entities.
 //
 // Doubles as a CI gate, exiting non-zero when
-//   * weighted pairs completeness drops below 0.98 at any scale,
+//   * weighted pairs completeness drops below 0.98 at any scale, or
 //   * the weighted index stops buying >= 5x candidate reduction over
-//     the unweighted index at >= 100k entities, or
-//   * the sharded index diverges from the single-shard index on any
-//     probed candidate set (bit-identity).
+//     the unweighted index at >= 100k entities.
 //
 // Emits BENCH_blocking_scale.json; `extra.pairs_completeness` and
 // `extra.reduction_vs_unweighted` are the regression metrics
@@ -34,7 +31,6 @@ using namespace genlink::bench;
 namespace {
 
 constexpr size_t kWeightedTopTokens = 6;
-constexpr size_t kShards = 4;
 constexpr double kRecallFloor = 0.98;
 constexpr double kReductionFloor = 5.0;
 
@@ -95,9 +91,6 @@ int main() {
 
     TokenBlockingOptions weighted_options;
     weighted_options.max_tokens_per_entity = kWeightedTopTokens;
-    TokenBlockingOptions sharded_options = weighted_options;
-    sharded_options.num_shards = kShards;
-    sharded_options.build_pool = &pool;
 
     std::vector<ConfigMeasurement> measured;
     start = std::chrono::steady_clock::now();
@@ -111,27 +104,6 @@ int main() {
         task.Target(), std::vector<std::string>{}, weighted_options);
     measured.push_back(Measure("blocking/weighted", std::move(weighted),
                                Seconds(start), task, sample_every, pool));
-
-    start = std::chrono::steady_clock::now();
-    auto sharded = std::make_unique<const ShardedTokenBlockingIndex>(
-        task.Target(), std::vector<std::string>{}, sharded_options);
-
-    // Bit-identity: the sharded index must reproduce the single-shard
-    // weighted candidates exactly on every sampled query.
-    const double sharded_build = Seconds(start);
-    const TokenBlockingIndex weighted_reference(
-        task.Target(), std::vector<std::string>{}, weighted_options);
-    size_t divergences = 0;
-    for (size_t i = 0; i < task.Source().size(); i += sample_every) {
-      const Entity& entity = task.Source().entity(i);
-      if (sharded->Candidates(entity, task.Source().schema()) !=
-          weighted_reference.Candidates(entity, task.Source().schema())) {
-        ++divergences;
-      }
-    }
-    measured.push_back(Measure("blocking/weighted-sharded",
-                               std::move(sharded), sharded_build, task,
-                               sample_every, pool));
 
     const double unweighted_cpq = measured[0].quality.candidates_per_query;
     std::printf("%-28s %10s %12s %10s %10s %9s\n", "system", "build_s",
@@ -162,7 +134,6 @@ int main() {
           {"entities_per_second",
            m.build_seconds > 0.0 ? static_cast<double>(n) / m.build_seconds
                                  : 0.0},
-          {"shard_identity", divergences == 0 ? 1.0 : 0.0},
       };
       records.push_back(std::move(record));
 
@@ -180,13 +151,6 @@ int main() {
                      m.system.c_str(), reduction, kReductionFloor, n);
         gates_pass = false;
       }
-    }
-    if (divergences > 0) {
-      std::fprintf(stderr,
-                   "ERROR: sharded index diverged from single-shard on %zu "
-                   "probed queries at n=%zu\n",
-                   divergences, n);
-      gates_pass = false;
     }
   }
 

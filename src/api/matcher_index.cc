@@ -85,10 +85,9 @@ struct MatcherIndex::Corpus {
   std::unique_ptr<ValueStore> store GENLINK_PT_GUARDED_BY(mutex);
   /// Blocking indexes over `target`, keyed by the (sorted) property
   /// list they index plus the option knobs that change the postings
-  /// (max tokens, min df, shard count) — rules reading the same target
-  /// properties under the same knobs share one index across hot swaps.
-  using BlockingKey =
-      std::tuple<std::vector<std::string>, size_t, size_t, size_t>;
+  /// (max tokens, min df) — rules reading the same target properties
+  /// under the same knobs share one index across hot swaps.
+  using BlockingKey = std::tuple<std::vector<std::string>, size_t, size_t>;
   std::map<BlockingKey, std::shared_ptr<const BlockingIndex>> blocking_cache
       GENLINK_GUARDED_BY(mutex);
   std::unique_ptr<ThreadPool> pool;
@@ -199,23 +198,15 @@ Status MatcherIndex::CompileLocked() {
   if (corpus.mapped != nullptr) return CompileMappedLocked();
   if (options_.use_blocking) {
     std::vector<std::string> properties = TargetProperties(rule_);
-    const size_t shards = std::max<size_t>(1, options_.blocking_shards);
     auto& slot = corpus.blocking_cache[Corpus::BlockingKey(
-        properties, options_.blocking_max_tokens, options_.blocking_min_token_df,
-        shards)];
+        properties, options_.blocking_max_tokens,
+        options_.blocking_min_token_df)];
     if (slot == nullptr) {
       TokenBlockingOptions blocking_options;
       blocking_options.max_tokens_per_entity = options_.blocking_max_tokens;
       blocking_options.min_token_df = options_.blocking_min_token_df;
-      blocking_options.num_shards = shards;
-      blocking_options.build_pool = corpus.pool.get();
-      if (shards > 1) {
-        slot = std::make_shared<const ShardedTokenBlockingIndex>(
-            *corpus.target, properties, blocking_options);
-      } else {
-        slot = std::make_shared<const TokenBlockingIndex>(
-            *corpus.target, properties, blocking_options);
-      }
+      slot = std::make_shared<const TokenBlockingIndex>(
+          *corpus.target, properties, blocking_options);
     }
     blocking_ = slot;
   }
@@ -232,9 +223,13 @@ Status MatcherIndex::CompileLocked() {
 
 Status MatcherIndex::CompileMappedLocked() {
   const MappedCorpus& mapped = *corpus_->mapped;
+  // The artifact owns its blocking knobs: its postings were built with
+  // them, so they are what this index serves and what options() reports.
+  options_.blocking_max_tokens = mapped.blocking_max_tokens();
+  options_.blocking_min_token_df = mapped.blocking_min_token_df();
   if (options_.use_blocking) {
     // The artifact carries exactly one blocking configuration; serving
-    // a different one would need the original dataset. Refuse with the
+    // other properties would need the original dataset. Refuse with the
     // mismatch named instead of silently scanning or re-indexing.
     if (!mapped.has_blocking()) {
       return Status::FailedPrecondition(
@@ -242,24 +237,11 @@ Status MatcherIndex::CompileMappedLocked() {
           "' carries no blocking postings; re-run `genlink index` or "
           "disable blocking");
     }
-    const std::vector<std::string> properties = TargetProperties(rule_);
-    const size_t shards = std::max<size_t>(1, options_.blocking_shards);
-    if (properties != mapped.blocking_properties()) {
+    if (TargetProperties(rule_) != mapped.blocking_properties()) {
       return Status::FailedPrecondition(
           "corpus artifact '" + mapped.path() +
           "' indexes different target properties than this rule reads; "
           "re-run `genlink index` with the new rule");
-    }
-    if (options_.blocking_max_tokens != mapped.blocking_max_tokens() ||
-        options_.blocking_min_token_df != mapped.blocking_min_token_df() ||
-        shards != mapped.blocking_shards()) {
-      return Status::FailedPrecondition(
-          "corpus artifact '" + mapped.path() +
-          "' was indexed with different blocking knobs (max_tokens=" +
-          std::to_string(mapped.blocking_max_tokens()) + ", min_df=" +
-          std::to_string(mapped.blocking_min_token_df()) + ", shards=" +
-          std::to_string(mapped.blocking_shards()) +
-          "); re-run `genlink index` with the requested options");
     }
     // Aliasing shared_ptr: the BlockingIndex lives inside the mapped
     // corpus, so the corpus keeps it (and the mapping) alive.
@@ -382,8 +364,7 @@ double MatcherIndex::QueryScore(const QueryValues& qv,
 
 std::vector<GeneratedLink> MatcherIndex::MatchEntityUnlocked(
     const Entity& entity, const Schema& schema,
-    const std::vector<size_t>* candidates, const CancelToken* cancel,
-    const uint8_t* dead) const {
+    const CancelToken* cancel, const uint8_t* dead) const {
   corpus_->mutex.AssertReaderHeld();
   if (cancel == nullptr) cancel = options_.cancel;
   // A record is never its own duplicate: a self-indexed corpus (dedup)
@@ -416,12 +397,7 @@ std::vector<GeneratedLink> MatcherIndex::MatchEntityUnlocked(
   auto cancelled = [&] {
     return cancel != nullptr && (++scanned & 63) == 0 && cancel->Cancelled();
   };
-  if (candidates != nullptr) {
-    for (size_t j : *candidates) {
-      if (cancelled()) break;
-      consider(j);
-    }
-  } else if (blocking_ != nullptr) {
+  if (blocking_ != nullptr) {
     for (size_t j : blocking_->Candidates(entity, schema)) {
       if (cancelled()) break;
       consider(j);
@@ -451,8 +427,7 @@ std::vector<GeneratedLink> MatcherIndex::MatchEntityMasked(
     const Entity& entity, const Schema& schema, const uint8_t* dead,
     const CancelToken* cancel) const {
   ReaderMutexLock lock(corpus_->mutex);
-  return MatchEntityUnlocked(entity, schema, /*candidates=*/nullptr, cancel,
-                             dead);
+  return MatchEntityUnlocked(entity, schema, cancel, dead);
 }
 
 std::vector<GeneratedLink> MatcherIndex::MatchEntity(
@@ -469,52 +444,12 @@ std::vector<GeneratedLink> MatcherIndex::MatchBatch(
   std::vector<std::vector<GeneratedLink>> per_entity(n);
   {
     ReaderMutexLock lock(corpus_->mutex);
-    const size_t shards = blocking_ != nullptr ? blocking_->NumShards() : 1;
-    if (shards > 1 && n > 0) {
-      // Per-shard fan-out. Phase 1 generates candidates as
-      // (shard × query-chunk) tasks — each task appends one shard's
-      // hits for a chunk of queries into shard-major slots, so no two
-      // tasks ever touch the same vector. Phase 2 merges each query's
-      // per-shard hit lists (sort + unique restores exactly
-      // BlockingIndex::Candidates' output, making the shard count
-      // invisible) and scores.
-      constexpr size_t kChunk = 64;
-      const size_t chunks = (n + kChunk - 1) / kChunk;
-      std::vector<std::vector<size_t>> hits(shards * n);
-      corpus_->pool->ParallelFor(shards * chunks, [&](size_t task) {
-        // Cooperative cancellation at chunk granularity: a fired token
-        // turns the remaining tasks into no-ops.
-        if (cancel != nullptr && cancel->Cancelled()) return;
-        const size_t shard = task / chunks;
-        const size_t chunk = task % chunks;
-        const size_t end = std::min(n, (chunk + 1) * kChunk);
-        for (size_t i = chunk * kChunk; i < end; ++i) {
-          blocking_->AppendShardCandidates(shard, entities[i], schema,
-                                           hits[shard * n + i]);
-        }
-      });
-      corpus_->pool->ParallelFor(n, [&](size_t i) {
-        if (cancel != nullptr && cancel->Cancelled()) return;
-        std::vector<size_t> candidates;
-        for (size_t shard = 0; shard < shards; ++shard) {
-          const std::vector<size_t>& shard_hits = hits[shard * n + i];
-          candidates.insert(candidates.end(), shard_hits.begin(),
-                            shard_hits.end());
-        }
-        std::sort(candidates.begin(), candidates.end());
-        candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                         candidates.end());
-        per_entity[i] =
-            MatchEntityUnlocked(entities[i], schema, &candidates, cancel);
-      });
-    } else {
-      corpus_->pool->ParallelFor(n, [&](size_t i) {
-        // Runs on pool workers while the dispatching frame above holds
-        // the reader lock for the whole parallel section.
-        if (cancel != nullptr && cancel->Cancelled()) return;
-        per_entity[i] = MatchEntityUnlocked(entities[i], schema, nullptr, cancel);
-      });
-    }
+    corpus_->pool->ParallelFor(n, [&](size_t i) {
+      // Runs on pool workers while the dispatching frame above holds
+      // the reader lock for the whole parallel section.
+      if (cancel != nullptr && cancel->Cancelled()) return;
+      per_entity[i] = MatchEntityUnlocked(entities[i], schema, cancel);
+    });
   }
   std::vector<GeneratedLink> links;
   size_t total = 0;
@@ -596,11 +531,6 @@ MatcherIndexStats MatcherIndex::stats() const {
   if (blocking_ != nullptr) {
     stats.blocking_tokens = blocking_->NumTokens();
     stats.blocking_postings = blocking_->NumPostings();
-    stats.blocking_shards = blocking_->NumShards();
-    stats.blocking_shard_stats.reserve(blocking_->NumShards());
-    for (size_t s = 0; s < blocking_->NumShards(); ++s) {
-      stats.blocking_shard_stats.push_back(blocking_->ShardStats(s));
-    }
   }
   if (corpus_->mapped != nullptr) {
     stats.value_plans = corpus_->mapped->num_plans();

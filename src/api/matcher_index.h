@@ -78,18 +78,11 @@ class ThreadPool;
 struct MatcherIndexStats {
   /// Entities on the indexed (target) side.
   size_t target_entities = 0;
-  /// Distinct tokens in the blocking index, summed over shards (0 when
-  /// blocking is off).
+  /// Distinct tokens in the blocking index (0 when blocking is off).
   size_t blocking_tokens = 0;
-  /// (token, entity) postings in the blocking index, summed over
-  /// shards (0 when blocking is off).
+  /// (token, entity) postings in the blocking index (0 when blocking is
+  /// off).
   size_t blocking_postings = 0;
-  /// Hash shards the blocking postings are partitioned into (1 for the
-  /// single-map index, 0 when blocking is off).
-  size_t blocking_shards = 0;
-  /// Per-shard token/posting counters, one entry per shard — the load
-  /// balance view of a sharded index (empty when blocking is off).
-  std::vector<BlockingShardStats> blocking_shard_stats;
   /// Transform plans materialized in the shared value store, summed
   /// over all rules compiled against this corpus.
   size_t value_plans = 0;
@@ -126,11 +119,14 @@ class MatcherIndex {
   /// serving-only Build, but value spans and blocking postings are read
   /// straight from the mapping — nothing is parsed, interned or
   /// re-indexed, so cold start is bounded by Load() validation, not by
-  /// corpus size. Queries are bit-identical to a fresh Build over the
-  /// dataset the artifact was written from. Fails with a named Status
-  /// when the rule needs a value plan the artifact did not precompute,
-  /// or when options request a blocking configuration (properties,
-  /// max-tokens, min-df, shards) the artifact does not carry — re-run
+  /// corpus size. The artifact owns its blocking knobs: the index
+  /// serves the max-tokens and min-df it was written with, whatever
+  /// `options` says, and options() reports them. Queries are
+  /// bit-identical to a fresh Build over the dataset the artifact was
+  /// written from with those knobs. Fails with a named Status when the
+  /// rule needs a value plan the artifact did not precompute, when the
+  /// rule reads other target properties than the postings index, or
+  /// when blocking is on and the artifact carries no postings — re-run
   /// `genlink index`. The rule must be non-empty.
   static Result<std::shared_ptr<const MatcherIndex>> Build(
       std::shared_ptr<const MappedCorpus> corpus, const LinkageRule& rule,
@@ -172,14 +168,9 @@ class MatcherIndex {
       const Entity& entity, const Schema& schema, const uint8_t* dead,
       const CancelToken* cancel = nullptr) const;
 
-  /// MatchEntity for every entity of `entities`, scored in parallel
-  /// chunks on the corpus pool. With a sharded blocking index
-  /// (MatchOptions::blocking_shards > 1), candidate generation first
-  /// fans out as (shard × query-chunk) tasks, then the merged
-  /// candidates are scored — same pool, higher parallelism on large
-  /// batches. The result is the concatenation of the per-entity link
-  /// lists in input order (deterministic for any thread and shard
-  /// count).
+  /// MatchEntity for every entity of `entities`, scored in parallel on
+  /// the corpus pool. The result is the concatenation of the per-entity
+  /// link lists in input order (deterministic for any thread count).
   /// When `cancel` is non-null (or MatchOptions::cancel is set), the
   /// per-entity chunk tasks poll the token and stop scoring once it
   /// fires: the serve daemon's per-request deadline path. A cancelled
@@ -221,13 +212,14 @@ class MatcherIndex {
   /// the threshold, best-match mode or blocking knobs along with the
   /// rule. num_threads is pinned to this index's value: the shared pool
   /// is built once per corpus. A changed blocking configuration compiles
-  /// a new index into the shared per-corpus cache.
+  /// a new index into the shared per-corpus cache; over a mapped corpus
+  /// the artifact's knobs replace the requested ones, as in Build.
   std::shared_ptr<const MatcherIndex> WithRule(const LinkageRule& rule,
                                                const MatchOptions& options) const;
 
   /// WithRule that surfaces compile failures instead of asserting they
   /// cannot happen: over a mapped corpus a new rule may need value
-  /// plans or a blocking configuration the artifact does not carry, and
+  /// plans or blocking properties the artifact does not carry, and
   /// the caller (serve/serving_state.cc) must keep the old index
   /// serving on that error. Over a dataset-backed corpus this never
   /// fails and is equivalent to WithRule.
@@ -271,11 +263,12 @@ class MatcherIndex {
   /// Compiles rule_ against the corpus (value plans, blocking index,
   /// query sites). Must run under the corpus write lock. Never fails
   /// for a dataset-backed corpus; for a mapped corpus it fails when the
-  /// artifact lacks a needed value plan or the requested blocking
-  /// configuration.
+  /// artifact lacks a needed value plan or the rule's blocking
+  /// properties.
   Status CompileLocked();
   /// The mapped-corpus arm of CompileLocked: resolves plans from the
-  /// artifact and borrows its blocking postings instead of building.
+  /// artifact, borrows its blocking postings instead of building, and
+  /// adopts the knobs they were built with into options_.
   Status CompileMappedLocked();
   /// Builds the query scorer's sites from each program site's target
   /// plan in reader_ (both compile arms end here).
@@ -289,17 +282,13 @@ class MatcherIndex {
   /// values read from `qv` and the target's from reader_.
   double QueryScore(const QueryValues& qv, size_t target_index) const;
 
-  /// MatchEntity body; caller holds the corpus read lock. When
-  /// `candidates` is non-null it is the precomputed sorted-unique
-  /// candidate index list for `entity` (MatchBatch's per-shard fan-out
-  /// merges it ahead of scoring); null means probe the blocking index
-  /// (or scan the full target when blocking is off). A non-null
-  /// `cancel` is polled every few dozen candidates, bounding how long
-  /// one huge candidate set can overstay a request deadline. A non-null
-  /// `dead` is the MatchEntityMasked tombstone mask.
+  /// MatchEntity body; caller holds the corpus read lock. Probes the
+  /// blocking index (or scans the full target when blocking is off). A
+  /// non-null `cancel` is polled every few dozen candidates, bounding
+  /// how long one huge candidate set can overstay a request deadline. A
+  /// non-null `dead` is the MatchEntityMasked tombstone mask.
   std::vector<GeneratedLink> MatchEntityUnlocked(
       const Entity& entity, const Schema& schema,
-      const std::vector<size_t>* candidates = nullptr,
       const CancelToken* cancel = nullptr,
       const uint8_t* dead = nullptr) const;
 
@@ -312,9 +301,8 @@ class MatcherIndex {
 
   /// Blocking index over the target side for rule_'s target properties
   /// and the options' blocking knobs (shared with other generations
-  /// using the same property set and knobs); a ShardedTokenBlockingIndex
-  /// when options_.blocking_shards > 1, null when options_.use_blocking
-  /// is false.
+  /// using the same property set and knobs); the mapped postings over a
+  /// mapped corpus; null when options_.use_blocking is false.
   std::shared_ptr<const BlockingIndex> blocking_;
   /// Compiled scoring for store-resident entity pairs (the full-join
   /// path); null for a mapped corpus.

@@ -181,62 +181,41 @@ ProbeScratch& TlsProbeScratch() {
 // --------------------------------------------------- MappedBlockingIndex
 
 /// The mapped postings behind the BlockingIndex interface: candidate
-/// sets are bit-identical to a TokenBlockingIndex (or, per shard, a
-/// ShardedTokenBlockingIndex) built over the same corpus with the same
-/// options — probing replaces the hash-map lookup with a binary search
-/// in the byte-sorted token table, which changes nothing observable
-/// because Candidates() output is sorted and AppendShardCandidates'
-/// contract is order-free within a shard.
+/// sets are bit-identical to a TokenBlockingIndex built over the same
+/// corpus with the same options — probing replaces the hash-map lookup
+/// with a binary search in the byte-sorted token table, which changes
+/// nothing observable because Candidates() output is sorted.
 class MappedBlockingIndex final : public BlockingIndex {
  public:
-  explicit MappedBlockingIndex(const MappedCorpus* corpus) : corpus_(corpus) {
-    const size_t shards = corpus_->blocking_shards_;
-    if (shards > 1) {
-      shard_stats_.resize(shards);
-      for (size_t t = 0; t < corpus_->num_tokens_; ++t) {
-        BlockingShardStats& s =
-            shard_stats_[BlockingTokenShard(TokenView(t), shards)];
-        ++s.tokens;
-        s.postings += corpus_->posting_offsets_[t + 1] -
-                      corpus_->posting_offsets_[t];
-      }
-    }
-  }
+  explicit MappedBlockingIndex(const MappedCorpus* corpus) : corpus_(corpus) {}
 
   std::vector<size_t> Candidates(const Entity& entity,
                                  const Schema& schema) const override {
+    ProbeScratch& scratch = TlsProbeScratch();
+    scratch.Begin(corpus_->num_entities_);
     std::vector<size_t> out;
-    Probe(entity, schema, [](std::string_view) { return true; }, out);
+    // As in TokenBlockingIndex::Candidates: every property of the query
+    // schema probes (query schemata generally differ from the corpus).
+    for (PropertyId p = 0; p < schema.NumProperties(); ++p) {
+      for (const auto& value : entity.Values(p)) {
+        for (auto& token : TokenizeAlnum(ToLowerAscii(value))) {
+          const auto t = FindToken(token);
+          if (!t.has_value()) continue;
+          const uint64_t begin = corpus_->posting_offsets_[*t];
+          const uint64_t end = corpus_->posting_offsets_[*t + 1];
+          for (uint64_t k = begin; k < end; ++k) {
+            const size_t j = corpus_->postings_[k];
+            if (scratch.Insert(j)) out.push_back(j);
+          }
+        }
+      }
+    }
     std::sort(out.begin(), out.end());
     return out;
   }
 
-  void AppendShardCandidates(size_t shard, const Entity& entity,
-                             const Schema& schema,
-                             std::vector<size_t>& out) const override {
-    const size_t shards = corpus_->blocking_shards_;
-    if (shards <= 1) {
-      Probe(entity, schema, [](std::string_view) { return true; }, out);
-      return;
-    }
-    Probe(
-        entity, schema,
-        [&](std::string_view token) {
-          return BlockingTokenShard(token, shards) == shard;
-        },
-        out);
-  }
-
-  size_t NumShards() const override { return corpus_->blocking_shards_; }
   size_t NumTokens() const override { return corpus_->num_tokens_; }
   size_t NumPostings() const override { return corpus_->num_postings_; }
-
-  BlockingShardStats ShardStats(size_t shard) const override {
-    if (shard_stats_.empty()) {
-      return BlockingShardStats{corpus_->num_tokens_, corpus_->num_postings_};
-    }
-    return shard_stats_[shard];
-  }
 
  private:
   std::string_view TokenView(size_t t) const {
@@ -260,33 +239,7 @@ class MappedBlockingIndex final : public BlockingIndex {
     return lo;
   }
 
-  template <typename AcceptToken>
-  void Probe(const Entity& entity, const Schema& schema,
-             const AcceptToken& accept_token, std::vector<size_t>& out) const {
-    ProbeScratch& scratch = TlsProbeScratch();
-    scratch.Begin(corpus_->num_entities_);
-    // As in blocking.cc ProbePostings: every property of the query
-    // schema probes (query schemata generally differ from the corpus).
-    for (PropertyId p = 0; p < schema.NumProperties(); ++p) {
-      for (const auto& value : entity.Values(p)) {
-        for (auto& token : TokenizeAlnum(ToLowerAscii(value))) {
-          if (!accept_token(token)) continue;
-          const auto t = FindToken(token);
-          if (!t.has_value()) continue;
-          const uint64_t begin = corpus_->posting_offsets_[*t];
-          const uint64_t end = corpus_->posting_offsets_[*t + 1];
-          for (uint64_t k = begin; k < end; ++k) {
-            const size_t j = corpus_->postings_[k];
-            if (scratch.Insert(j)) out.push_back(j);
-          }
-        }
-      }
-    }
-  }
-
   const MappedCorpus* corpus_;
-  /// Precomputed per-shard counters (only when shards > 1).
-  std::vector<BlockingShardStats> shard_stats_;
 };
 
 // --------------------------------------------------------------- Writer
@@ -367,12 +320,10 @@ Status WriteCorpusArtifact(const std::string& path, const Dataset& target,
   }
 
   // Blocking postings for the rule's (sorted) target properties under
-  // the options' knobs — the same keys both in-memory index classes
-  // build from. The byte-ordered map fixes the token table order the
-  // mapped index binary-searches.
+  // the options' knobs — the same keys TokenBlockingIndex builds from.
+  // The byte-ordered map fixes the token table order the mapped index
+  // binary-searches.
   const bool has_blocking = options.use_blocking;
-  const uint64_t shards =
-      has_blocking ? std::max<size_t>(1, options.blocking_shards) : 1;
   std::vector<std::string> blocking_properties;
   std::vector<uint32_t> blocking_prop_ids;
   std::vector<uint32_t> token_ids;
@@ -473,7 +424,9 @@ Status WriteCorpusArtifact(const std::string& path, const Dataset& target,
   header.blocking_max_tokens = has_blocking ? options.blocking_max_tokens : 0;
   header.blocking_min_token_df =
       has_blocking ? options.blocking_min_token_df : 1;
-  header.blocking_shards = shards;
+  // A retired field (hash-sharded postings); kept so the layout and
+  // version stay put. Always 1, checked for sanity on load, else unused.
+  header.blocking_shards = 1;
   header.rule_hash = StableRuleHash(rule);
 
   std::string_view sections[kNumSections];
@@ -650,9 +603,7 @@ Result<std::shared_ptr<const MappedCorpus>> MappedCorpus::Load(
                                     std::to_string(bytes.size()));
   }
 
-  // Count sanity before any size arithmetic (overflow guards). The
-  // shard bound matters even with the checksum off: the shard count
-  // sizes the per-shard stats allocation.
+  // Count sanity before any size arithmetic (overflow guards).
   if (h.num_strings > UINT32_MAX || h.num_entities > UINT32_MAX ||
       h.num_tokens > UINT32_MAX || h.num_plans > (uint64_t{1} << 20) ||
       h.blocking_shards > (uint64_t{1} << 20)) {
@@ -751,7 +702,6 @@ Result<std::shared_ptr<const MappedCorpus>> MappedCorpus::Load(
   corpus->num_postings_ = h.num_postings;
   corpus->blocking_max_tokens_ = h.blocking_max_tokens;
   corpus->blocking_min_token_df_ = h.blocking_min_token_df;
-  corpus->blocking_shards_ = has_blocking ? h.blocking_shards : 1;
   corpus->rule_hash_ = h.rule_hash;
 
   // Semantic validation: every offset monotone and in range, every id

@@ -157,14 +157,13 @@ class MappedCorpus final : public ValueReader {
   /// The mapped postings as a BlockingIndex; null when !has_blocking().
   const BlockingIndex* blocking() const;
   /// The (sorted) property names the postings index, and the key
-  /// -selection knobs they were built with — MatcherIndex refuses to
-  /// serve blocking configurations the artifact does not carry.
+  /// -selection knobs they were built with. MatcherIndex refuses other
+  /// properties and adopts these knobs as the ones it serves.
   const std::vector<std::string>& blocking_properties() const {
     return blocking_properties_;
   }
   size_t blocking_max_tokens() const { return blocking_max_tokens_; }
   size_t blocking_min_token_df() const { return blocking_min_token_df_; }
-  size_t blocking_shards() const { return blocking_shards_; }
 
   /// StableRuleHash of the rule the artifact was indexed for
   /// (provenance; serving any rule whose plans are present is allowed).
@@ -205,7 +204,6 @@ class MappedCorpus final : public ValueReader {
   uint64_t num_postings_ = 0;
   uint64_t blocking_max_tokens_ = 0;
   uint64_t blocking_min_token_df_ = 1;
-  uint64_t blocking_shards_ = 1;
   uint64_t rule_hash_ = 0;
 
   Schema schema_;

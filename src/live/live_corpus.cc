@@ -124,6 +124,10 @@ Result<std::unique_ptr<LiveCorpus>> LiveCorpus::CreateImpl(
         MatcherIndex::Build(mapped, deployment->rule, BaseOptions(options));
     if (!built.ok()) return built.status();
     live->base_index_ = std::move(built).value();
+    // The artifact owns its blocking knobs and the base index adopts
+    // them, so check the knobs it serves, not the ones requested.
+    GENLINK_RETURN_IF_ERROR(
+        ValidateConfig(deployment->rule, live->base_index_->options()));
     live->base_dead_.assign(mapped->size(), 0);
     for (size_t i = 0; i < mapped->size(); ++i) {
       live->locations_[std::string(mapped->entity_id(i))] =

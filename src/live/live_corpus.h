@@ -141,9 +141,10 @@ class LiveCorpus {
   /// removes work (the delta side evaluates its own values), queries
   /// stay bit-identical, but Compact/CompactTo fail — the artifact
   /// stores transformed value spans, not raw property values, so the
-  /// logical corpus cannot be rematerialized from it. Blocking knobs
-  /// must additionally match what the artifact carries
-  /// (api/matcher_index.h mapped Build contract).
+  /// logical corpus cannot be rematerialized from it. The artifact's
+  /// own blocking knobs are served (api/matcher_index.h mapped Build
+  /// contract), so a weighted artifact is a named InvalidArgument even
+  /// when `options` asks for the default knobs.
   static Result<std::unique_ptr<LiveCorpus>> Create(
       std::shared_ptr<const MappedCorpus> base, const LinkageRule& rule,
       const MatchOptions& options = {},

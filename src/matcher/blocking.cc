@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "common/hash.h"
-#include "common/thread_pool.h"
 #include "text/case_fold.h"
 #include "text/tokenizer.h"
 
@@ -69,9 +67,7 @@ void AppendEntityTokens(const Entity& entity,
 /// tokens of the resolved properties, deduplicated per entity and, with
 /// weighted options, pruned to the `max_tokens_per_entity` rarest
 /// tokens (document frequency ascending, ties by token — a total order,
-/// so the selection is deterministic) with df >= min_token_df. Both
-/// index classes build from this, which is what makes the sharded and
-/// single-map indexes agree for any option set.
+/// so the selection is deterministic) with df >= min_token_df.
 std::vector<std::vector<std::string>> ComputeEntityKeys(
     const Dataset& dataset, const std::vector<PropertyId>& properties,
     const TokenBlockingOptions& options) {
@@ -148,36 +144,6 @@ StampScratch& TlsStamp() {
   return scratch;
 }
 
-/// Probes `index` with every token of every property of `entity` and
-/// appends the deduplicated hits (unsorted posting order) to `out`.
-/// `accept_token` filters the probe tokens (sharding); the scratch must
-/// have been Begin()-started by the caller.
-template <typename AcceptToken>
-void ProbePostings(
-    const std::unordered_map<std::string, std::vector<size_t>>& index,
-    const Entity& entity, const Schema& schema, StampScratch& scratch,
-    const AcceptToken& accept_token, std::vector<size_t>& out) {
-  // Probe with the tokens of every property of the query entity; the
-  // source schema generally differs from the indexed one, so all
-  // properties are used.
-  for (PropertyId p = 0; p < schema.NumProperties(); ++p) {
-    for (const auto& value : entity.Values(p)) {
-      for (auto& token : TokenizeAlnum(ToLowerAscii(value))) {
-        if (!accept_token(token)) continue;
-        auto it = index.find(token);
-        if (it == index.end()) continue;
-        for (size_t j : it->second) {
-          if (scratch.Insert(j)) out.push_back(j);
-        }
-      }
-    }
-  }
-}
-
-size_t TokenShard(const std::string& token, size_t num_shards) {
-  return BlockingTokenShard(token, num_shards);
-}
-
 }  // namespace
 
 std::vector<std::vector<std::string>> ComputeBlockingKeys(
@@ -193,10 +159,6 @@ std::vector<std::string> EntityBlockingKeys(
   std::vector<std::string> out;
   AppendEntityTokens(entity, ResolveProperties(schema, properties), out);
   return out;
-}
-
-size_t BlockingTokenShard(std::string_view token, size_t num_shards) {
-  return HashBytes(token) % num_shards;
 }
 
 TokenBlockingIndex::TokenBlockingIndex(const Dataset& dataset,
@@ -216,70 +178,17 @@ TokenBlockingIndex::TokenBlockingIndex(const Dataset& dataset,
 
 std::vector<size_t> TokenBlockingIndex::Candidates(const Entity& entity,
                                                    const Schema& schema) const {
-  std::vector<size_t> out;
-  AppendShardCandidates(0, entity, schema, out);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-void TokenBlockingIndex::AppendShardCandidates(size_t /*shard*/,
-                                               const Entity& entity,
-                                               const Schema& schema,
-                                               std::vector<size_t>& out) const {
-  StampScratch& scratch = TlsStamp();
-  scratch.Begin(dataset_->size());
-  ProbePostings(index_, entity, schema, scratch,
-                [](const std::string&) { return true; }, out);
-}
-
-BlockingShardStats TokenBlockingIndex::ShardStats(size_t /*shard*/) const {
-  return BlockingShardStats{index_.size(), postings_};
-}
-
-ShardedTokenBlockingIndex::ShardedTokenBlockingIndex(
-    const Dataset& dataset, const std::vector<std::string>& properties,
-    const TokenBlockingOptions& options)
-    : dataset_(&dataset) {
-  const size_t num_shards = std::max<size_t>(1, options.num_shards);
-  shards_.resize(num_shards);
-  const std::vector<PropertyId> resolved = ResolveProperties(dataset.schema(), properties);
-  // Tokenize (and df-rank) once, then partition: shard s owns exactly
-  // the tokens with hash % N == s, so shard builds touch disjoint state
-  // and can run in parallel with no synchronization.
-  const std::vector<std::vector<std::string>> keys =
-      ComputeEntityKeys(dataset, resolved, options);
-  const auto build_shard = [&](size_t s) {
-    Shard& shard = shards_[s];
-    for (size_t i = 0; i < keys.size(); ++i) {
-      for (const auto& token : keys[i]) {
-        if (TokenShard(token, num_shards) != s) continue;
-        shard.index[token].push_back(i);
-        ++shard.postings;
-      }
-    }
-  };
-  if (options.build_pool != nullptr && num_shards > 1) {
-    options.build_pool->ParallelForEach(num_shards, build_shard);
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) build_shard(s);
-  }
-}
-
-std::vector<size_t> ShardedTokenBlockingIndex::Candidates(
-    const Entity& entity, const Schema& schema) const {
-  // One scratch round and one tokenization pass: each query token is
-  // looked up in the single shard that owns it. Sorted-unique output
-  // makes the shard count invisible to callers.
   StampScratch& scratch = TlsStamp();
   scratch.Begin(dataset_->size());
   std::vector<size_t> out;
-  const size_t num_shards = shards_.size();
+  // Probe with the tokens of every property of the query entity; the
+  // source schema generally differs from the indexed one, so all
+  // properties are used.
   for (PropertyId p = 0; p < schema.NumProperties(); ++p) {
     for (const auto& value : entity.Values(p)) {
       for (auto& token : TokenizeAlnum(ToLowerAscii(value))) {
-        const auto& index = shards_[TokenShard(token, num_shards)].index;
-        auto it = index.find(token);
-        if (it == index.end()) continue;
+        auto it = index_.find(token);
+        if (it == index_.end()) continue;
         for (size_t j : it->second) {
           if (scratch.Insert(j)) out.push_back(j);
         }
@@ -288,37 +197,6 @@ std::vector<size_t> ShardedTokenBlockingIndex::Candidates(
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-void ShardedTokenBlockingIndex::AppendShardCandidates(
-    size_t shard, const Entity& entity, const Schema& schema,
-    std::vector<size_t>& out) const {
-  StampScratch& scratch = TlsStamp();
-  scratch.Begin(dataset_->size());
-  const size_t num_shards = shards_.size();
-  ProbePostings(
-      shards_[shard].index, entity, schema, scratch,
-      [&](const std::string& token) {
-        return TokenShard(token, num_shards) == shard;
-      },
-      out);
-}
-
-size_t ShardedTokenBlockingIndex::NumTokens() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.index.size();
-  return total;
-}
-
-size_t ShardedTokenBlockingIndex::NumPostings() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.postings;
-  return total;
-}
-
-BlockingShardStats ShardedTokenBlockingIndex::ShardStats(size_t shard) const {
-  return BlockingShardStats{shards_[shard].index.size(),
-                            shards_[shard].postings};
 }
 
 std::vector<std::string> SourceProperties(const LinkageRule& rule) {

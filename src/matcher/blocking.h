@@ -6,13 +6,11 @@
 // substrate.)
 //
 // Two implementations share the BlockingIndex interface:
-//   * TokenBlockingIndex — one postings map; the default.
-//   * ShardedTokenBlockingIndex — postings partitioned across N shards
-//     by token hash, built shard-parallel and queried shard-by-shard
-//     (api/matcher_index.cc fans MatchBatch candidate generation out
-//     per shard). Bit-identical candidate sets for any shard count.
+//   * TokenBlockingIndex — an in-memory postings map over a Dataset.
+//   * MappedBlockingIndex (io/corpus_artifact.cc) — the postings of a
+//     mapped corpus artifact, probed in place.
 //
-// Both support weighted (rare-token) key selection via
+// Both serve weighted (rare-token) key selection via
 // TokenBlockingOptions: instead of indexing every token, each entity is
 // indexed under only its k rarest tokens (document frequency ascending,
 // ties broken by the token string, so selection is deterministic).
@@ -33,10 +31,8 @@
 
 namespace genlink {
 
-class ThreadPool;
-
-/// Key-selection and sharding knobs of the blocking indexes. The
-/// defaults reproduce the classic unweighted single-shard index.
+/// Key-selection knobs of the blocking indexes. The defaults reproduce
+/// the classic unweighted index.
 struct TokenBlockingOptions {
   /// Index each entity under only its `max_tokens_per_entity` rarest
   /// tokens (document frequency ascending, then token). 0 = all tokens.
@@ -46,22 +42,9 @@ struct TokenBlockingOptions {
   /// useful on a self-indexed (dedup) corpus, where a unique token can
   /// never produce a candidate other than the query entity itself.
   size_t min_token_df = 1;
-  /// Number of hash shards (ShardedTokenBlockingIndex only; the plain
-  /// index ignores it). 0 or 1 = single shard.
-  size_t num_shards = 1;
-  /// When set, ShardedTokenBlockingIndex builds its shards in parallel
-  /// on this pool (one task per shard). The result is identical with or
-  /// without a pool: each shard's postings depend only on the corpus.
-  ThreadPool* build_pool = nullptr;
 };
 
-/// Size counters of one postings shard (stats()).
-struct BlockingShardStats {
-  size_t tokens = 0;
-  size_t postings = 0;
-};
-
-/// Candidate generation interface shared by the single-map and sharded
+/// Candidate generation interface shared by the in-memory and mapped
 /// indexes. Implementations are immutable after construction and safe
 /// to query concurrently (see TokenBlockingIndex for the scratch
 /// contract).
@@ -75,22 +58,10 @@ class BlockingIndex {
   virtual std::vector<size_t> Candidates(const Entity& entity,
                                          const Schema& schema) const = 0;
 
-  /// Appends the candidates contributed by shard `shard` (tokens whose
-  /// hash maps to that shard) to `out`: deduplicated within the shard,
-  /// unsorted. The sorted union over all shards equals Candidates() —
-  /// the contract MatcherIndex::MatchBatch's per-shard fan-out relies
-  /// on. `shard` must be < NumShards().
-  virtual void AppendShardCandidates(size_t shard, const Entity& entity,
-                                     const Schema& schema,
-                                     std::vector<size_t>& out) const = 0;
-
-  virtual size_t NumShards() const = 0;
-  /// Number of distinct tokens in the index (summed over shards).
+  /// Number of distinct tokens in the index.
   virtual size_t NumTokens() const = 0;
-  /// Number of (token, entity) postings (summed over shards).
+  /// Number of (token, entity) postings.
   virtual size_t NumPostings() const = 0;
-  /// Size counters of one shard. `shard` must be < NumShards().
-  virtual BlockingShardStats ShardStats(size_t shard) const = 0;
 };
 
 /// Inverted index from token to entity indexes of the target dataset.
@@ -115,13 +86,8 @@ class TokenBlockingIndex : public BlockingIndex {
 
   std::vector<size_t> Candidates(const Entity& entity,
                                  const Schema& schema) const override;
-  void AppendShardCandidates(size_t shard, const Entity& entity,
-                             const Schema& schema,
-                             std::vector<size_t>& out) const override;
-  size_t NumShards() const override { return 1; }
   size_t NumTokens() const override { return index_.size(); }
   size_t NumPostings() const override { return postings_; }
-  BlockingShardStats ShardStats(size_t shard) const override;
 
  private:
   const Dataset* dataset_;
@@ -132,44 +98,11 @@ class TokenBlockingIndex : public BlockingIndex {
   std::unordered_map<std::string, std::vector<size_t>> index_;
 };
 
-/// Postings partitioned across N shards by token hash. Each token lives
-/// in exactly one shard, so the sorted union of per-shard candidate
-/// sets is bit-identical to the single-map index built with the same
-/// options — for any shard count (tests/blocking_scale_test.cc).
-/// Shards build in parallel when the options carry a pool. Thread
-/// safety matches TokenBlockingIndex: immutable after construction,
-/// concurrent queries share nothing but thread-local scratch.
-class ShardedTokenBlockingIndex : public BlockingIndex {
- public:
-  ShardedTokenBlockingIndex(const Dataset& dataset,
-                            const std::vector<std::string>& properties,
-                            const TokenBlockingOptions& options);
-
-  std::vector<size_t> Candidates(const Entity& entity,
-                                 const Schema& schema) const override;
-  void AppendShardCandidates(size_t shard, const Entity& entity,
-                             const Schema& schema,
-                             std::vector<size_t>& out) const override;
-  size_t NumShards() const override { return shards_.size(); }
-  size_t NumTokens() const override;
-  size_t NumPostings() const override;
-  BlockingShardStats ShardStats(size_t shard) const override;
-
- private:
-  struct Shard {
-    std::unordered_map<std::string, std::vector<size_t>> index;
-    size_t postings = 0;
-  };
-
-  const Dataset* dataset_;
-  std::vector<Shard> shards_;
-};
-
 /// The blocking keys of every entity of `dataset` over `properties`
 /// (all properties when empty): lowercased alnum tokens, deduplicated
 /// per entity and, with weighted options, pruned to the rarest
 /// `max_tokens_per_entity` tokens with df >= min_token_df — exactly the
-/// postings both index classes build from, which is what lets the
+/// postings TokenBlockingIndex builds from, which is what lets the
 /// corpus artifact writer (io/corpus_artifact.cc) serialize postings
 /// bit-identical to a fresh TokenBlockingIndex build.
 std::vector<std::vector<std::string>> ComputeBlockingKeys(
@@ -188,11 +121,6 @@ std::vector<std::vector<std::string>> ComputeBlockingKeys(
 std::vector<std::string> EntityBlockingKeys(
     const Entity& entity, const Schema& schema,
     const std::vector<std::string>& properties);
-
-/// Deterministic shard of `token` under `num_shards` — the partition
-/// the sharded index and the mapped postings agree on. `num_shards`
-/// must be >= 1.
-size_t BlockingTokenShard(std::string_view token, size_t num_shards);
 
 /// Extracts the source-side / target-side property names a rule reads
 /// (from its property operators).

@@ -56,11 +56,6 @@ struct MatchOptions {
   /// Skip blocking tokens seen in fewer than this many target entities.
   /// 1 = keep all (default). See TokenBlockingOptions::min_token_df.
   size_t blocking_min_token_df = 1;
-  /// Partition the blocking postings across this many hash shards;
-  /// MatchBatch fans candidate generation out per shard on the pool.
-  /// Links are bit-identical for any shard count (enforced by
-  /// tests/blocking_scale_test.cc). 0 or 1 = single shard (default).
-  size_t blocking_shards = 1;
   /// Cooperative cancellation (common/clock.h). Not a matching knob:
   /// never serialized into artifacts and never part of result
   /// identity. When non-null, the full-join and batch surfaces poll it

@@ -22,8 +22,7 @@ namespace {
 // Every thread probes every source entity against the same index and
 // must reproduce the serial reference exactly — same candidates, same
 // order, no drops and no duplicates.
-template <typename Index>
-void HammerSharedIndex(const MatchingTask& task, const Index& index,
+void HammerSharedIndex(const MatchingTask& task, const BlockingIndex& index,
                        size_t num_threads, size_t rounds) {
   const Dataset& source = task.Source();
   std::vector<std::vector<size_t>> reference(source.size());
@@ -56,14 +55,6 @@ void HammerSharedIndex(const MatchingTask& task, const Index& index,
 TEST(BlockingConcurrencyTest, ConcurrentCandidatesOnSharedTokenIndex) {
   const MatchingTask task = GenerateRestaurant(RestaurantConfig{});
   const TokenBlockingIndex index(task.Target());
-  HammerSharedIndex(task, index, /*num_threads=*/8, /*rounds=*/3);
-}
-
-TEST(BlockingConcurrencyTest, ConcurrentCandidatesOnSharedShardedIndex) {
-  const MatchingTask task = GenerateRestaurant(RestaurantConfig{});
-  TokenBlockingOptions options;
-  options.num_shards = 4;
-  const ShardedTokenBlockingIndex index(task.Target(), {}, options);
   HammerSharedIndex(task, index, /*num_threads=*/8, /*rounds=*/3);
 }
 

@@ -1,24 +1,20 @@
-// The weighted / sharded blocking layer (matcher/blocking.h):
+// The weighted blocking layer (matcher/blocking.h):
 //
 //   * weighted (rare-token) candidates are always a subset of the
 //     unweighted candidates, for any k and min-df;
 //   * recall floors: 1.0 on the Restaurant reference links, equal to
 //     the unweighted ceiling on Cora, >= 0.98 on the synthetic corpus
 //     at 100k entities;
-//   * the sharded index is bit-identical to the single-shard index for
-//     shards in {1,2,4,7} x build/query threads in {1,4} — candidate
-//     sets, full GenerateLinks output, and the MatchBatch per-shard
-//     fan-out all compare equal, doubles included.
+//   * at those budgets, weighted links are bit-identical to the
+//     default path's for query threads in {1,4}, doubles included.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "api/matcher_index.h"
 #include "common/thread_pool.h"
 #include "datasets/cora.h"
 #include "datasets/restaurant.h"
@@ -155,62 +151,11 @@ TEST(BlockingScaleTest, WeightedRecallOnSynthetic100k) {
   EXPECT_GE(quality.reduction_ratio, 0.9);
 }
 
-TEST(BlockingScaleTest, ShardedCandidatesBitIdenticalToSingleShard) {
-  const MatchingTask task = GenerateRestaurant(RestaurantConfig{});
-  for (const size_t max_tokens : {0ul, kRestaurantTopTokens}) {
-    TokenBlockingOptions base_options;
-    base_options.max_tokens_per_entity = max_tokens;
-    const TokenBlockingIndex single(task.Target(), {}, base_options);
-    for (const size_t shards : {1ul, 2ul, 4ul, 7ul}) {
-      for (const size_t build_threads : {1ul, 4ul}) {
-        ThreadPool pool(build_threads);
-        TokenBlockingOptions options = base_options;
-        options.num_shards = shards;
-        options.build_pool = &pool;
-        const ShardedTokenBlockingIndex sharded(task.Target(), {}, options);
-        ASSERT_EQ(sharded.NumShards(), shards);
-        EXPECT_EQ(sharded.NumTokens(), single.NumTokens());
-        EXPECT_EQ(sharded.NumPostings(), single.NumPostings());
-        // Per-shard stats sum back to the totals (each token lives in
-        // exactly one shard).
-        size_t token_sum = 0;
-        size_t posting_sum = 0;
-        for (size_t s = 0; s < shards; ++s) {
-          token_sum += sharded.ShardStats(s).tokens;
-          posting_sum += sharded.ShardStats(s).postings;
-        }
-        EXPECT_EQ(token_sum, sharded.NumTokens());
-        EXPECT_EQ(posting_sum, sharded.NumPostings());
-        for (const Entity& entity : task.Source().entities()) {
-          const auto expected =
-              single.Candidates(entity, task.Source().schema());
-          EXPECT_EQ(sharded.Candidates(entity, task.Source().schema()),
-                    expected)
-              << "shards=" << shards << " entity=" << entity.id();
-          // The per-shard contract MatchBatch's fan-out relies on: the
-          // sorted-unique union over AppendShardCandidates equals
-          // Candidates().
-          std::vector<size_t> merged;
-          for (size_t s = 0; s < shards; ++s) {
-            sharded.AppendShardCandidates(s, entity, task.Source().schema(),
-                                          merged);
-          }
-          std::sort(merged.begin(), merged.end());
-          merged.erase(std::unique(merged.begin(), merged.end()),
-                       merged.end());
-          EXPECT_EQ(merged, expected)
-              << "shards=" << shards << " entity=" << entity.id();
-        }
-      }
-    }
-  }
-}
-
-TEST(BlockingScaleTest, ShardedWeightedLinksBitIdenticalOnRestaurantAndCora) {
+TEST(BlockingScaleTest, WeightedLinksBitIdenticalOnRestaurantAndCora) {
   // The acceptance gate: with a weighted-key budget whose recall
-  // matches the default index, sharded + weighted blocking must
-  // produce bit-identical links to the untouched default path — for
-  // every shard and thread count.
+  // matches the default index, weighted blocking must produce
+  // bit-identical links to the untouched default path — for every
+  // thread count.
   struct Case {
     const char* label;
     MatchingTask task;
@@ -226,50 +171,13 @@ TEST(BlockingScaleTest, ShardedWeightedLinksBitIdenticalOnRestaurantAndCora) {
     const std::vector<GeneratedLink> base =
         GenerateLinks(c.rule, c.task.Source(), c.task.Target(), {});
     ASSERT_FALSE(base.empty()) << c.label;
-    for (const size_t shards : {1ul, 2ul, 4ul, 7ul}) {
-      for (const size_t threads : {1ul, 4ul}) {
-        MatchOptions options;
-        options.blocking_max_tokens = c.max_tokens;
-        options.blocking_shards = shards;
-        options.num_threads = threads;
-        ExpectSameLinks(
-            GenerateLinks(c.rule, c.task.Source(), c.task.Target(), options),
-            base,
-            std::string(c.label) + " shards=" + std::to_string(shards) +
-                " threads=" + std::to_string(threads));
-      }
-    }
-  }
-}
-
-TEST(BlockingScaleTest, MatchBatchShardFanOutBitIdentical) {
-  const MatchingTask task = GenerateRestaurant(RestaurantConfig{});
-  const LinkageRule rule = RestaurantRule();
-  MatchOptions reference_options;
-  reference_options.num_threads = 1;
-  const auto reference = MatcherIndex::Build(task.Source(), task.Target(),
-                                             rule, reference_options);
-  const std::span<const Entity> queries(task.Source().entities());
-  const std::vector<GeneratedLink> expected = reference->MatchBatch(queries);
-  ASSERT_FALSE(expected.empty());
-  for (const size_t shards : {2ul, 4ul, 7ul}) {
     for (const size_t threads : {1ul, 4ul}) {
       MatchOptions options;
-      options.blocking_shards = shards;
+      options.blocking_max_tokens = c.max_tokens;
       options.num_threads = threads;
-      const auto index =
-          MatcherIndex::Build(task.Source(), task.Target(), rule, options);
-      const MatcherIndexStats stats = index->stats();
-      EXPECT_EQ(stats.blocking_shards, shards);
-      ASSERT_EQ(stats.blocking_shard_stats.size(), shards);
-      size_t postings = 0;
-      for (const BlockingShardStats& shard : stats.blocking_shard_stats) {
-        postings += shard.postings;
-      }
-      EXPECT_EQ(postings, stats.blocking_postings);
-      ExpectSameLinks(index->MatchBatch(queries), expected,
-                      "shards=" + std::to_string(shards) +
-                          " threads=" + std::to_string(threads));
+      ExpectSameLinks(
+          GenerateLinks(c.rule, c.task.Source(), c.task.Target(), options),
+          base, std::string(c.label) + " threads=" + std::to_string(threads));
     }
   }
 }

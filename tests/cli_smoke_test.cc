@@ -302,6 +302,73 @@ TEST(CliSmokeTest, QueryServesArtifactLearnedByLearn) {
   std::remove(out_path.c_str());
 }
 
+// `genlink index` bakes the blocking knobs into the corpus artifact and
+// `query --index` serves them: a weighted index queried with the plain
+// learned artifact answers byte-identically to a fresh weighted build,
+// and a blocking flag beside --index is refused by name.
+TEST(CliSmokeTest, QueryIndexServesTheBlockingKnobsItWasIndexedWith) {
+  ASSERT_FALSE(g_cli_path.empty());
+
+  RestaurantConfig config;
+  config.scale = 0.3;
+  MatchingTask task = GenerateRestaurant(config);
+
+  const std::string data_path = TestTempPath("knobs_restaurant.csv");
+  const std::string links_path = TestTempPath("knobs_links.csv");
+  const std::string artifact_path = TestTempPath("knobs_artifact.gla");
+  const std::string index_path = TestTempPath("knobs_index.glidx");
+  const std::string from_index_path = TestTempPath("knobs_from_index.csv");
+  const std::string from_target_path = TestTempPath("knobs_from_target.csv");
+  ASSERT_TRUE(WriteStringToFile(data_path, DatasetToCsv(task.Source())).ok());
+  ASSERT_TRUE(WriteStringToFile(links_path, WriteLinksCsv(task.links)).ok());
+
+  const std::string learn_command =
+      g_cli_path + " learn --source " + data_path + " --target " + data_path +
+      " --links " + links_path + " --save-artifact " + artifact_path +
+      " --population 50 --iterations 3 --seed 7 > /dev/null 2>&1";
+  ASSERT_EQ(std::system(learn_command.c_str()), 0) << learn_command;
+
+  std::string output;
+  ASSERT_EQ(RunCapture(g_cli_path + " index --target " + data_path +
+                           " --artifact " + artifact_path + " --out " +
+                           index_path + " --blocking-top-tokens 4",
+                       &output),
+            0)
+      << output;
+  const std::string query = g_cli_path + " query --artifact " + artifact_path +
+                            " --entities " + data_path;
+  ASSERT_EQ(RunCapture(query + " --index " + index_path + " --out " +
+                           from_index_path,
+                       &output),
+            0)
+      << output;
+  ASSERT_EQ(RunCapture(query + " --target " + data_path +
+                           " --blocking-top-tokens 4 --out " +
+                           from_target_path,
+                       &output),
+            0)
+      << output;
+  auto from_index = ReadFileToString(from_index_path);
+  auto from_target = ReadFileToString(from_target_path);
+  ASSERT_TRUE(from_index.ok() && from_target.ok());
+  EXPECT_GT(from_index->size(), std::string("id_a,id_b,score\n").size())
+      << *from_index;
+  EXPECT_EQ(*from_index, *from_target);
+
+  EXPECT_EQ(RunCapture(query + " --index " + index_path +
+                           " --blocking-top-tokens 4",
+                       &output),
+            2);
+  EXPECT_NE(output.find("--blocking-top-tokens"), std::string::npos) << output;
+  EXPECT_NE(output.find("blocking knobs"), std::string::npos) << output;
+
+  for (const std::string& path :
+       {data_path, links_path, artifact_path, index_path, from_index_path,
+        from_target_path}) {
+    std::remove(path.c_str());
+  }
+}
+
 }  // namespace
 }  // namespace genlink
 

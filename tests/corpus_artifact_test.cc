@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -144,14 +145,13 @@ TEST(CorpusArtifactTest, MappedBitIdenticalCora) {
   CheckBitIdentity(task, CoraRule(), options, "cora");
 }
 
-TEST(CorpusArtifactTest, MappedBitIdenticalWeightedShardedBlocking) {
+TEST(CorpusArtifactTest, MappedBitIdenticalWeightedBlocking) {
   RestaurantConfig config;
   config.scale = 0.3;
   MatchingTask task = GenerateRestaurant(config);
   MatchOptions options;
   options.blocking_max_tokens = 4;
   options.blocking_min_token_df = 2;
-  options.blocking_shards = 3;
   CheckBitIdentity(task, RestaurantRule(), options, "restaurant_weighted");
 }
 
@@ -192,13 +192,40 @@ TEST_F(MappedServingTest, MissingPlanIsNamedFailedPrecondition) {
   EXPECT_NE(built.status().message().find("genlink index"), std::string::npos);
 }
 
-TEST_F(MappedServingTest, BlockingKnobMismatchIsNamedFailedPrecondition) {
-  MatchOptions mismatched = options_;
-  mismatched.blocking_max_tokens = 7;
-  auto built = MatcherIndex::Build(mapped_, RestaurantRule(), mismatched);
-  ASSERT_FALSE(built.ok());
-  EXPECT_EQ(built.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(built.status().message().find(path_), std::string::npos);
+TEST_F(MappedServingTest, BuildAdoptsTheArtifactsBlockingKnobs) {
+  // A weighted artifact deployed with default options serves the knobs
+  // it was indexed with, exactly like a fresh build under those knobs.
+  const std::string path = TestTempPath("weighted.glidx");
+  MatchOptions weighted = options_;
+  weighted.blocking_max_tokens = 4;
+  weighted.blocking_min_token_df = 2;
+  ASSERT_TRUE(
+      WriteCorpusArtifact(path, task_.a, RestaurantRule(), weighted).ok());
+  auto mapped = MappedCorpus::Load(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+
+  auto index = MatcherIndex::Build(*mapped, RestaurantRule(), options_);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  EXPECT_EQ((*index)->options().blocking_max_tokens, 4u);
+  EXPECT_EQ((*index)->options().blocking_min_token_df, 2u);
+  const auto fresh = MatcherIndex::Build(task_.a, RestaurantRule(), weighted);
+  EXPECT_EQ((*index)->stats().blocking_postings,
+            fresh->stats().blocking_postings);
+  ExpectSameLinks((*index)->MatchBatch(task_.a.entities(), task_.a.schema()),
+                  fresh->MatchBatch(task_.a.entities(), task_.a.schema()),
+                  "adopted knobs");
+
+  auto swapped = (*index)->TryWithRule(RestaurantRule(), options_);
+  ASSERT_TRUE(swapped.ok()) << swapped.status().ToString();
+  EXPECT_EQ((*swapped)->options().blocking_max_tokens, 4u);
+  EXPECT_EQ((*swapped)->options().blocking_min_token_df, 2u);
+
+  ServingState state(*mapped);
+  RuleArtifact artifact;
+  artifact.name = "defaults";
+  artifact.rule = RestaurantRule();
+  EXPECT_TRUE(state.Deploy(artifact).ok());
+  std::remove(path.c_str());
 }
 
 TEST_F(MappedServingTest, EmptyRuleAndNullCorpusRejected) {
@@ -294,9 +321,10 @@ class CorruptionTest : public ::testing::Test {
         "e3,delta alpha,78 lake ave,braga\n",
         "tiny", {});
     ASSERT_TRUE(dataset.ok());
+    dataset_ = std::move(dataset).value();
     path_ = TestTempPath("fuzz.glidx");
     ASSERT_TRUE(
-        WriteCorpusArtifact(path_, *dataset, RestaurantRule(), MatchOptions())
+        WriteCorpusArtifact(path_, dataset_, RestaurantRule(), MatchOptions())
             .ok());
     bytes_ = ReadAll(path_);
     ASSERT_GT(bytes_.size(), 0u);
@@ -307,6 +335,24 @@ class CorruptionTest : public ::testing::Test {
     std::remove(corrupt_path_.c_str());
   }
 
+  /// The links a mapped index over the artifact at `path` serves for
+  /// every entity of dataset_. Threshold 0 keeps every blocking
+  /// candidate, so the links also pin the candidate sets.
+  std::vector<GeneratedLink> ServedLinks(const std::string& path) {
+    MappedCorpusOptions load_options;
+    load_options.verify_checksum = false;
+    auto mapped = MappedCorpus::Load(path, load_options);
+    EXPECT_TRUE(mapped.ok()) << mapped.status().ToString();
+    if (!mapped.ok()) return {};
+    MatchOptions options;
+    options.threshold = 0.0;
+    auto index = MatcherIndex::Build(*mapped, RestaurantRule(), options);
+    EXPECT_TRUE(index.ok()) << index.status().ToString();
+    if (!index.ok()) return {};
+    return (*index)->MatchBatch(dataset_.entities(), dataset_.schema());
+  }
+
+  Dataset dataset_;
   std::string path_;
   std::string bytes_;
   std::string corrupt_path_;
@@ -369,6 +415,19 @@ TEST_F(CorruptionTest, GarbageAndEmptyFilesAreNamedErrors) {
   EXPECT_FALSE(MappedCorpus::Load(corrupt_path_).ok());
   EXPECT_FALSE(
       MappedCorpus::Load(TestTempPath("never_written.glidx")).ok());
+}
+
+TEST_F(CorruptionTest, ShardCountInHeaderIsIgnored) {
+  // The u64 at header offset 112 once counted hash shards. Writers now
+  // always store 1 and readers ignore any other non-zero count.
+  constexpr size_t kShardCountOffset = 112;
+  std::string patched = bytes_;
+  const uint64_t three = 3;
+  std::memcpy(patched.data() + kShardCountOffset, &three, sizeof(three));
+  WriteAll(corrupt_path_, patched);
+  const std::vector<GeneratedLink> expected = ServedLinks(path_);
+  ASSERT_FALSE(expected.empty());
+  ExpectSameLinks(ServedLinks(corrupt_path_), expected, "patched shard count");
 }
 
 TEST_F(CorruptionTest, VersionFromTheFutureIsRejected) {

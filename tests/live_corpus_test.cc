@@ -403,6 +403,22 @@ TEST(LiveCorpusTest, RejectsDfDependentBlockingAndEmptyRule) {
   auto c = LiveCorpus::Create(task.Target(), LinkageRule());
   ASSERT_FALSE(c.ok());
   EXPECT_EQ(c.status().code(), StatusCode::kInvalidArgument);
+
+  // A mapped base serves the knobs it was indexed with, so a weighted
+  // artifact is refused even when the requested options are the
+  // defaults: its postings would sit beside unweighted delta keys.
+  const std::string path = TestTempPath("live_weighted.glc");
+  MatchOptions indexed;
+  indexed.blocking_max_tokens = 4;
+  ASSERT_TRUE(
+      WriteCorpusArtifact(path, task.Target(), RestaurantRule(), indexed).ok());
+  auto mapped = MappedCorpus::Load(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  auto d = LiveCorpus::Create(*mapped, RestaurantRule(), MatchOptions());
+  ASSERT_FALSE(d.ok());
+  EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument)
+      << d.status().ToString();
+  std::remove(path.c_str());
 }
 
 TEST(LiveCorpusTest, AutoCompactionBoundsTheDeltaLog) {

@@ -191,9 +191,6 @@ const std::vector<CommandSpec>& Commands() {
            {"blocking-min-df", "N",
             "skip blocking tokens seen in fewer than N target entities "
             "(default 1 = keep all)"},
-           {"blocking-shards", "N",
-            "partition blocking postings across N hash shards (default 1; "
-            "links are identical for any value)"},
        },
        "match rebuilds the execution artifacts on every invocation; for\n"
        "repeated matching against the same corpus use `genlink query`"},
@@ -217,17 +214,15 @@ const std::vector<CommandSpec>& Commands() {
            {"blocking-min-df", "N",
             "skip blocking tokens seen in fewer than N corpus entities "
             "(default 1 = keep all)"},
-           {"blocking-shards", "N",
-            "partition blocking postings across N hash shards (default 1; "
-            "links are identical for any value)"},
        },
        "index precomputes the rule's target-side value plans and the\n"
        "token-blocking postings into one flat binary file that `query\n"
        "--index` and `serve --index` mmap for millisecond cold starts\n"
        "(docs/ARTIFACTS.md). The file is written atomically: a crash\n"
        "mid-write never clobbers an existing artifact. Pass exactly one\n"
-       "of --artifact or --rule; the blocking flags must match the ones\n"
-       "the corpus will be served under."},
+       "of --artifact or --rule. The blocking flags are baked into the\n"
+       "file: `query --index` and `serve --index` serve the knobs it was\n"
+       "indexed with."},
       {"query",
        "serve entity queries against a prebuilt matcher index",
        {
@@ -249,14 +244,12 @@ const std::vector<CommandSpec>& Commands() {
            {"threads", "N", "worker threads, 0 = hardware (default 0)"},
            {"id-column", "NAME", "CSV id column (default 'id')"},
            {"blocking-top-tokens", "K",
-            "weighted blocking: index each corpus entity under only its K "
-            "rarest tokens (0 = all tokens, default)"},
+            "with --target: index each corpus entity under only its K "
+            "rarest tokens (0 = all tokens, default); an --index serves "
+            "the knobs it was built with"},
            {"blocking-min-df", "N",
-            "skip blocking tokens seen in fewer than N corpus entities "
-            "(default 1 = keep all)"},
-           {"blocking-shards", "N",
-            "partition blocking postings across N hash shards (default 1; "
-            "links are identical for any value)"},
+            "with --target: skip blocking tokens seen in fewer than N "
+            "corpus entities (default 1 = keep all)"},
        },
        "query builds the index once (token blocking + compiled value\n"
        "store, api/matcher_index.h), then answers each input entity with\n"
@@ -683,9 +676,7 @@ int RunMatch(const Args& args) {
       !FlagAsCount(args, "match", "blocking-top-tokens", 0,
                    &options.blocking_max_tokens) ||
       !FlagAsCount(args, "match", "blocking-min-df", 1,
-                   &options.blocking_min_token_df) ||
-      !FlagAsCount(args, "match", "blocking-shards", 1,
-                   &options.blocking_shards)) {
+                   &options.blocking_min_token_df)) {
     return 2;
   }
 
@@ -739,11 +730,9 @@ int RunIndex(const Args& args) {
   size_t threads = 0;
   size_t top_tokens = 0;
   size_t min_df = 1;
-  size_t shards = 1;
   if (!FlagAsCount(args, "index", "threads", 0, &threads) ||
       !FlagAsCount(args, "index", "blocking-top-tokens", 0, &top_tokens) ||
-      !FlagAsCount(args, "index", "blocking-min-df", 1, &min_df) ||
-      !FlagAsCount(args, "index", "blocking-shards", 1, &shards)) {
+      !FlagAsCount(args, "index", "blocking-min-df", 1, &min_df)) {
     return 2;
   }
 
@@ -768,14 +757,13 @@ int RunIndex(const Args& args) {
     artifact.rule = std::move(*rule);
   }
   // The blocking knobs are baked into the artifact; `query --index` /
-  // `serve --index` refuse to serve under different ones.
+  // `serve --index` serve exactly these.
   if (args.Has("blocking-top-tokens")) {
     artifact.options.blocking_max_tokens = top_tokens;
   }
   if (args.Has("blocking-min-df")) {
     artifact.options.blocking_min_token_df = min_df;
   }
-  if (args.Has("blocking-shards")) artifact.options.blocking_shards = shards;
 
   const char* out = args.Get("out");
   ThreadPool pool(threads);
@@ -818,19 +806,28 @@ int RunQuery(const Args& args) {
                  "(run 'genlink query --help' for usage)\n");
     return 2;
   }
+  if (index_path != nullptr) {
+    for (const char* flag : {"blocking-top-tokens", "blocking-min-df"}) {
+      if (!args.Has(flag)) continue;
+      std::fprintf(stderr,
+                   "genlink query: --%s cannot apply with --index: the index "
+                   "carries the blocking knobs it was built with (re-run "
+                   "`genlink index` to change them)\n",
+                   flag);
+      return 2;
+    }
+  }
   // Validate the overrides before any file I/O; they apply on top of
   // the artifact's options once it is loaded.
   double threshold_override = 0.0;
   size_t threads_override = 0;
   size_t top_tokens_override = 0;
   size_t min_df_override = 1;
-  size_t shards_override = 1;
   if (!FlagAsDouble(args, "query", "threshold", &threshold_override) ||
       !FlagAsCount(args, "query", "threads", 0, &threads_override) ||
       !FlagAsCount(args, "query", "blocking-top-tokens", 0,
                    &top_tokens_override) ||
-      !FlagAsCount(args, "query", "blocking-min-df", 1, &min_df_override) ||
-      !FlagAsCount(args, "query", "blocking-shards", 1, &shards_override)) {
+      !FlagAsCount(args, "query", "blocking-min-df", 1, &min_df_override)) {
     return 2;
   }
 
@@ -876,14 +873,12 @@ int RunQuery(const Args& args) {
   if (args.Has("blocking-min-df")) {
     artifact.options.blocking_min_token_df = min_df_override;
   }
-  if (args.Has("blocking-shards")) {
-    artifact.options.blocking_shards = shards_override;
-  }
 
   // Build once; every query below is a cheap lookup against these
-  // artifacts (api/matcher_index.h). The mapped build fails with a
-  // named error when the artifact lacks the rule's plans or was indexed
-  // under different blocking knobs — re-run `genlink index`.
+  // artifacts (api/matcher_index.h). The mapped build serves the
+  // blocking knobs the artifact was indexed with, and fails with a
+  // named error when the artifact lacks the rule's plans or blocking
+  // properties — re-run `genlink index`.
   std::shared_ptr<const MatcherIndex> index;
   if (mapped != nullptr) {
     auto built = MatcherIndex::Build(mapped, artifact.rule, artifact.options);
@@ -897,11 +892,9 @@ int RunQuery(const Args& args) {
   MatcherIndexStats stats = index->stats();
   std::fprintf(stderr,
                "index built over %zu entities in %.3fs "
-               "(%zu blocking tokens, %zu postings in %zu shard%s, "
-               "%zu value plans)\n",
+               "(%zu blocking tokens, %zu postings, %zu value plans)\n",
                stats.target_entities, stats.build_seconds,
                stats.blocking_tokens, stats.blocking_postings,
-               stats.blocking_shards, stats.blocking_shards == 1 ? "" : "s",
                stats.value_plans);
 
   // Query source: a CSV file or stdin, consumed INCREMENTALLY — each
