@@ -57,32 +57,24 @@ double Elapsed(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-// The dataset-side artifacts every WithRule generation shares. The
-// writer-priority mutex (common/mutex.h: a waiting WithRule compile
-// cannot be starved by continuous query traffic) orders value-store
-// appends — a new rule's unseen plans — against concurrent queries:
-// query surfaces hold the read lock for the duration of a call,
-// CompileLocked runs under the write lock. The store is append-only,
-// so previously handed-out PlanIds stay valid across generations.
-//
-// The annotations make the regime checkable: the store's *contents*
-// and the blocking cache require the capability, so a query path that
-// forgot the reader lock (or a compile step outside the writer lock)
-// fails `clang -Wthread-safety`. Code reached from pool-worker tasks
-// whose dispatching frame holds the lock asserts the capability
-// instead (WriterPriorityMutex::AssertReaderHeld — a real runtime
-// check in debug builds, zero-cost in release).
+// The dataset-side state every WithRule generation shares. Queries
+// never touch the mutex: each generation reads only its own value store
+// and blocking index, both immutable once the generation is built. The
+// mutex serializes compiles, which read `latest_store` and the blocking
+// cache and record what they built there.
 struct MatcherIndex::Corpus {
   const Dataset* source = nullptr;  // null for serving-only builds
   const Dataset* target = nullptr;  // null for mapped-corpus builds
   /// Zero-copy corpus (io/corpus_artifact.h); when set, `target` and
-  /// `store` are null and the mapped file is both the entity table and
-  /// the value store. Immutable, so none of its state needs the mutex.
+  /// `latest_store` are null and the mapped file is both the entity
+  /// table and the value store. Immutable, so none of its state needs
+  /// the mutex.
   std::shared_ptr<const MappedCorpus> mapped;
-  mutable WriterPriorityMutex mutex;
-  /// Null for a mapped corpus. The pointer itself is set once at Build
-  /// before the corpus is shared; the pointee is guarded.
-  std::unique_ptr<ValueStore> store GENLINK_PT_GUARDED_BY(mutex);
+  Mutex mutex;
+  /// The newest generation's store: the one the next compile resolves
+  /// its plans in, or forks when a plan is missing. Never written once
+  /// stored here. Null for a mapped corpus.
+  std::shared_ptr<const ValueStore> latest_store GENLINK_GUARDED_BY(mutex);
   /// Blocking indexes over `target`, keyed by the (sorted) property
   /// list they index plus the option knobs that change the postings
   /// (max tokens, min df) — rules reading the same target properties
@@ -129,14 +121,14 @@ std::shared_ptr<const MatcherIndex> MatcherIndex::Build(
   corpus->source = &source;
   corpus->target = &target;
   corpus->pool = std::make_unique<ThreadPool>(options.num_threads);
-  corpus->store = std::make_unique<ValueStore>(source, target);
+  {
+    MutexLock lock(corpus->mutex);
+    corpus->latest_store = std::make_shared<const ValueStore>(source, target);
+  }
   std::shared_ptr<MatcherIndex> index(
       new MatcherIndex(corpus, rule.Clone(), options));
   const auto start = std::chrono::steady_clock::now();
-  {
-    WriterMutexLock lock(corpus->mutex);
-    index->CompileLocked();
-  }
+  index->Compile();
   index->build_seconds_ = Elapsed(start);
   return index;
 }
@@ -151,16 +143,16 @@ std::shared_ptr<const MatcherIndex> MatcherIndex::Build(
   // register with zero entities), queries evaluate their own values
   // through the query scorer.
   const std::vector<const Entity*> target_pointers = DatasetPointers(target);
-  corpus->store = std::make_unique<ValueStore>(
-      std::span<const Entity* const>{}, target.schema(),
-      std::span<const Entity* const>(target_pointers), target.schema());
+  {
+    MutexLock lock(corpus->mutex);
+    corpus->latest_store = std::make_shared<const ValueStore>(
+        std::span<const Entity* const>{}, target.schema(),
+        std::span<const Entity* const>(target_pointers), target.schema());
+  }
   std::shared_ptr<MatcherIndex> index(
       new MatcherIndex(corpus, rule.Clone(), options));
   const auto start = std::chrono::steady_clock::now();
-  {
-    WriterMutexLock lock(corpus->mutex);
-    index->CompileLocked();
-  }
+  index->Compile();
   index->build_seconds_ = Elapsed(start);
   return index;
 }
@@ -182,20 +174,15 @@ Result<std::shared_ptr<const MatcherIndex>> MatcherIndex::Build(
   std::shared_ptr<MatcherIndex> index(
       new MatcherIndex(shared, rule.Clone(), options));
   const auto start = std::chrono::steady_clock::now();
-  {
-    WriterMutexLock lock(shared->mutex);
-    GENLINK_RETURN_IF_ERROR(index->CompileLocked());
-  }
+  GENLINK_RETURN_IF_ERROR(index->Compile());
   index->build_seconds_ = Elapsed(start);
   return std::shared_ptr<const MatcherIndex>(std::move(index));
 }
 
-Status MatcherIndex::CompileLocked() {
+Status MatcherIndex::Compile() {
+  if (corpus_->mapped != nullptr) return CompileMapped();
   Corpus& corpus = *corpus_;
-  // Declared in the header, where Corpus is incomplete, so the writer
-  // requirement is asserted rather than spelled as GENLINK_REQUIRES.
-  corpus.mutex.AssertWriterHeld();
-  if (corpus.mapped != nullptr) return CompileMappedLocked();
+  MutexLock lock(corpus.mutex);
   if (options_.use_blocking) {
     std::vector<std::string> properties = TargetProperties(rule_);
     auto& slot = corpus.blocking_cache[Corpus::BlockingKey(
@@ -211,17 +198,26 @@ Status MatcherIndex::CompileLocked() {
     blocking_ = slot;
   }
 
-  // Full-join scoring over store-resident pairs. Compiles both sides'
-  // value subtrees into the shared store; a WithRule generation only
-  // pays for subtrees no earlier rule materialized.
-  compiled_ = std::make_unique<CompiledRule>(rule_, *corpus.store,
-                                             corpus.pool.get());
-  reader_ = corpus.store.get();
+  // Full-join scoring over store-resident pairs. A rule whose value
+  // subtrees all have plans in the latest store reuses that store as
+  // is. Otherwise the missing plans compile into a fork of it, so a
+  // generation only pays for subtrees no earlier rule materialized, and
+  // no published store is ever written.
+  std::shared_ptr<const ValueStore> store = corpus.latest_store;
+  compiled_ = CompiledRule::Resolve(rule_, *store);
+  if (compiled_ == nullptr) {
+    std::shared_ptr<ValueStore> fork = store->Fork();
+    compiled_ = std::make_unique<CompiledRule>(rule_, *fork, corpus.pool.get());
+    store = std::move(fork);
+    corpus.latest_store = store;
+  }
+  store_ = std::move(store);
+  reader_ = store_.get();
   BindQuerySites(compiled_->target_plans());
   return Status::Ok();
 }
 
-Status MatcherIndex::CompileMappedLocked() {
+Status MatcherIndex::CompileMapped() {
   const MappedCorpus& mapped = *corpus_->mapped;
   // The artifact owns its blocking knobs: its postings were built with
   // them, so they are what this index serves and what options() reports.
@@ -313,10 +309,7 @@ Result<std::shared_ptr<const MatcherIndex>> MatcherIndex::TryWithRule(
   std::shared_ptr<MatcherIndex> next(
       new MatcherIndex(corpus_, rule.Clone(), next_options));
   const auto start = std::chrono::steady_clock::now();
-  {
-    WriterMutexLock lock(corpus_->mutex);
-    GENLINK_RETURN_IF_ERROR(next->CompileLocked());
-  }
+  GENLINK_RETURN_IF_ERROR(next->Compile());
   next->build_seconds_ = Elapsed(start);
   return std::shared_ptr<const MatcherIndex>(std::move(next));
 }
@@ -337,9 +330,6 @@ void MatcherIndex::EvaluateQueryOps(const Entity& entity, const Schema& schema,
 
 double MatcherIndex::QueryScore(const QueryValues& qv,
                                 size_t target_index) const {
-  // May run on a pool worker (MatchBatch/MatchDataset tasks) while the
-  // dispatching frame holds the reader lock; free in release builds.
-  corpus_->mutex.AssertReaderHeld();
   return Score(program_, [&](size_t site, double threshold) {
     const QuerySite& query_site = query_sites_[site];
     const std::vector<std::string_view>& source_views =
@@ -362,10 +352,9 @@ double MatcherIndex::QueryScore(const QueryValues& qv,
   });
 }
 
-std::vector<GeneratedLink> MatcherIndex::MatchEntityUnlocked(
-    const Entity& entity, const Schema& schema,
-    const CancelToken* cancel, const uint8_t* dead) const {
-  corpus_->mutex.AssertReaderHeld();
+std::vector<GeneratedLink> MatcherIndex::MatchEntityMasked(
+    const Entity& entity, const Schema& schema, const uint8_t* dead,
+    const CancelToken* cancel) const {
   if (cancel == nullptr) cancel = options_.cancel;
   // A record is never its own duplicate: a self-indexed corpus (dedup)
   // and a serving-only index (queries of unknown provenance, often the
@@ -419,15 +408,7 @@ std::vector<GeneratedLink> MatcherIndex::MatchEntityUnlocked(
 
 std::vector<GeneratedLink> MatcherIndex::MatchEntity(
     const Entity& entity, const Schema& schema) const {
-  ReaderMutexLock lock(corpus_->mutex);
-  return MatchEntityUnlocked(entity, schema);
-}
-
-std::vector<GeneratedLink> MatcherIndex::MatchEntityMasked(
-    const Entity& entity, const Schema& schema, const uint8_t* dead,
-    const CancelToken* cancel) const {
-  ReaderMutexLock lock(corpus_->mutex);
-  return MatchEntityUnlocked(entity, schema, cancel, dead);
+  return MatchEntityMasked(entity, schema, nullptr);
 }
 
 std::vector<GeneratedLink> MatcherIndex::MatchEntity(
@@ -442,15 +423,10 @@ std::vector<GeneratedLink> MatcherIndex::MatchBatch(
   if (cancel == nullptr) cancel = options_.cancel;
   const size_t n = entities.size();
   std::vector<std::vector<GeneratedLink>> per_entity(n);
-  {
-    ReaderMutexLock lock(corpus_->mutex);
-    corpus_->pool->ParallelFor(n, [&](size_t i) {
-      // Runs on pool workers while the dispatching frame above holds
-      // the reader lock for the whole parallel section.
-      if (cancel != nullptr && cancel->Cancelled()) return;
-      per_entity[i] = MatchEntityUnlocked(entities[i], schema, cancel);
-    });
-  }
+  corpus_->pool->ParallelFor(n, [&](size_t i) {
+    if (cancel != nullptr && cancel->Cancelled()) return;
+    per_entity[i] = MatchEntityMasked(entities[i], schema, nullptr, cancel);
+  });
   std::vector<GeneratedLink> links;
   size_t total = 0;
   for (const auto& group : per_entity) total += group.size();
@@ -473,7 +449,6 @@ std::vector<GeneratedLink> MatcherIndex::MatchDataset(
     const Dataset& source) const {
   std::vector<GeneratedLink> links;
   Mutex links_mutex;
-  ReaderMutexLock lock(corpus_->mutex);
   const bool self_join =
       corpus_->target != nullptr && &source == corpus_->target;
   // Store-resident scoring needs the store's source-side plans, which
@@ -525,7 +500,6 @@ bool MatcherIndex::has_source() const { return corpus_->source != nullptr; }
 bool MatcherIndex::is_mapped() const { return corpus_->mapped != nullptr; }
 
 MatcherIndexStats MatcherIndex::stats() const {
-  ReaderMutexLock lock(corpus_->mutex);
   MatcherIndexStats stats;
   stats.target_entities = corpus_->target_size();
   if (blocking_ != nullptr) {
@@ -535,9 +509,9 @@ MatcherIndexStats MatcherIndex::stats() const {
   if (corpus_->mapped != nullptr) {
     stats.value_plans = corpus_->mapped->num_plans();
     stats.store_bytes = corpus_->mapped->file_bytes();
-  } else if (corpus_->store != nullptr) {
-    stats.value_plans = corpus_->store->stats().plans_compiled;
-    stats.store_bytes = corpus_->store->ApproxBytes();
+  } else {
+    stats.value_plans = store_->stats().plans_compiled;
+    stats.store_bytes = store_->ApproxBytes();
   }
   stats.build_seconds = build_seconds_;
   return stats;

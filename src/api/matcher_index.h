@@ -36,12 +36,16 @@
 // to the spec).
 //
 // Lifetimes and hot swap: a MatcherIndex is immutable after Build and
-// safe to query from any number of threads. The dataset(s) passed to
-// Build must outlive every index built over them. WithRule compiles a
-// NEW index for a freshly learned rule while sharing the dataset-side
-// stores (value pool, transform plans, blocking indexes) with the old
-// one — only the new rule's unseen value subtrees are evaluated, the
-// corpus is not re-interned. Old and new indexes serve concurrently;
+// safe to query from any number of threads; queries take no lock. The
+// dataset(s) passed to Build must outlive every index built over them.
+// Each generation owns an immutable value store. WithRule compiles a
+// NEW index for a freshly learned rule: when the newest store already
+// holds plans for all of the rule's value subtrees it is reused as is,
+// otherwise the missing plans compile into a fork that shares the
+// existing plans, pooled strings and blocking indexes — only the new
+// rule's unseen value subtrees are evaluated, the corpus is not
+// re-interned, and no store a query can read is ever written. Old and
+// new indexes serve concurrently, and a compile never delays a query;
 // a service hot-swaps by publishing the new shared_ptr:
 //
 //   std::shared_ptr<const MatcherIndex> serving = MatcherIndex::Build(...);
@@ -83,10 +87,11 @@ struct MatcherIndexStats {
   /// (token, entity) postings in the blocking index (0 when blocking is
   /// off).
   size_t blocking_postings = 0;
-  /// Transform plans materialized in the shared value store, summed
-  /// over all rules compiled against this corpus.
+  /// Transform plans in this generation's value store: its own rule's
+  /// plus those of every earlier rule compiled against this corpus.
   size_t value_plans = 0;
-  /// Approximate bytes held by the shared value store.
+  /// Approximate bytes held by this generation's value store (plans
+  /// and pooled strings shared with other generations count in full).
   size_t store_bytes = 0;
   /// Wall seconds spent building/compiling THIS index (for WithRule:
   /// only the incremental compile, not the original corpus build).
@@ -162,8 +167,10 @@ class MatcherIndex {
   /// side of `base ⊎ delta − tombstones` is this index with the
   /// snapshot's tombstone bitmap. The mask only ever hides rows, so
   /// every returned link would also be returned unmasked — ordering and
-  /// scores are unchanged. Thread-safe; concurrent calls may pass
-  /// different masks.
+  /// scores are unchanged. A non-null `cancel` (else
+  /// MatchOptions::cancel) is polled every 64 candidates, bounding how
+  /// long one huge candidate set can overstay a request deadline.
+  /// Thread-safe; concurrent calls may pass different masks.
   std::vector<GeneratedLink> MatchEntityMasked(
       const Entity& entity, const Schema& schema, const uint8_t* dead,
       const CancelToken* cancel = nullptr) const;
@@ -201,10 +208,10 @@ class MatcherIndex {
   /// dataset-side stores: the value pool, all previously materialized
   /// transform plans, and any blocking index over the same property
   /// set are reused, so only the new rule's unseen value subtrees
-  /// touch the corpus. Both indexes keep serving; in-flight queries on
-  /// either are safe while the new rule compiles (internally
-  /// synchronized). Swap atomically by publishing the returned
-  /// pointer.
+  /// touch the corpus. Both indexes keep serving, and queries on
+  /// either run at full speed while the new rule compiles (compiles
+  /// are serialized against each other, never against queries). Swap
+  /// atomically by publishing the returned pointer.
   std::shared_ptr<const MatcherIndex> WithRule(const LinkageRule& rule) const;
 
   /// WithRule with new per-query options — the artifact-reload shape
@@ -241,12 +248,10 @@ class MatcherIndex {
   MatcherIndexStats stats() const;
 
  private:
-  /// Dataset-side artifacts shared across WithRule generations,
-  /// guarded by a writer-priority reader/writer lock
-  /// (common/mutex.h WriterPriorityMutex: a waiting WithRule compile
-  /// cannot be starved by query traffic). The guarded members are
-  /// annotated for clang -Wthread-safety in the .cc; the lock
-  /// hierarchy is documented in docs/CONCURRENCY.md.
+  /// Dataset-side state shared across WithRule generations: the
+  /// datasets or mapped artifact, the pool, and — behind a mutex that
+  /// only compiles take — the newest value store and the blocking-index
+  /// cache (annotated in the .cc; docs/CONCURRENCY.md).
   struct Corpus;
 
   /// One site of program_ as seen by the query scorer: source side
@@ -260,16 +265,17 @@ class MatcherIndex {
   MatcherIndex(std::shared_ptr<Corpus> corpus, LinkageRule rule,
                MatchOptions options);
 
-  /// Compiles rule_ against the corpus (value plans, blocking index,
-  /// query sites). Must run under the corpus write lock. Never fails
-  /// for a dataset-backed corpus; for a mapped corpus it fails when the
+  /// Compiles rule_ against the corpus (value store, blocking index,
+  /// query sites) before the index is shared. Never fails for a
+  /// dataset-backed corpus; for a mapped corpus it fails when the
   /// artifact lacks a needed value plan or the rule's blocking
   /// properties.
-  Status CompileLocked();
-  /// The mapped-corpus arm of CompileLocked: resolves plans from the
+  Status Compile();
+  /// The mapped-corpus arm of Compile: resolves plans from the
   /// artifact, borrows its blocking postings instead of building, and
-  /// adopts the knobs they were built with into options_.
-  Status CompileMappedLocked();
+  /// adopts the knobs they were built with into options_. Reads only
+  /// the immutable mapping, so it takes no lock.
+  Status CompileMapped();
   /// Builds the query scorer's sites from each program site's target
   /// plan in reader_ (both compile arms end here).
   void BindQuerySites(std::span<const uint32_t> target_plans);
@@ -281,16 +287,6 @@ class MatcherIndex {
   /// program_'s score of (query, target_index), the query's source
   /// values read from `qv` and the target's from reader_.
   double QueryScore(const QueryValues& qv, size_t target_index) const;
-
-  /// MatchEntity body; caller holds the corpus read lock. Probes the
-  /// blocking index (or scans the full target when blocking is off). A
-  /// non-null `cancel` is polled every few dozen candidates, bounding
-  /// how long one huge candidate set can overstay a request deadline. A
-  /// non-null `dead` is the MatchEntityMasked tombstone mask.
-  std::vector<GeneratedLink> MatchEntityUnlocked(
-      const Entity& entity, const Schema& schema,
-      const CancelToken* cancel = nullptr,
-      const uint8_t* dead = nullptr) const;
 
   std::shared_ptr<Corpus> corpus_;
   LinkageRule rule_;
@@ -304,8 +300,12 @@ class MatcherIndex {
   /// using the same property set and knobs); the mapped postings over a
   /// mapped corpus; null when options_.use_blocking is false.
   std::shared_ptr<const BlockingIndex> blocking_;
+  /// This generation's value store: immutable once Compile returns,
+  /// shared with later generations that need no new plan. Null for a
+  /// mapped corpus.
+  std::shared_ptr<const ValueStore> store_;
   /// Compiled scoring for store-resident entity pairs (the full-join
-  /// path); null for a mapped corpus.
+  /// path) over store_; null for a mapped corpus.
   std::unique_ptr<CompiledRule> compiled_;
 
   /// Distinct source-side value subtrees of rule_ (deduplicated by
@@ -314,8 +314,8 @@ class MatcherIndex {
   std::vector<const ValueOperator*> query_ops_;
   std::vector<QuerySite> query_sites_;
 
-  /// The target-side read surface the query scorer consumes — the
-  /// corpus value store or the mapped corpus. Set by CompileLocked.
+  /// The target-side read surface the query scorer consumes — store_
+  /// or the mapped corpus. Set by Compile.
   const ValueReader* reader_ = nullptr;
 
   double build_seconds_ = 0.0;

@@ -11,11 +11,6 @@
 //     with an RAII guard. CondVar pairs with MutexLock for waits; the
 //     predicate is written as a plain while-loop in the caller so the
 //     analysis sees every guarded read under the lock.
-//   * WriterPriorityMutex     — the hand-rolled writer-priority
-//     reader/writer lock (moved here from api/matcher_index.cc) as a
-//     shared capability, with ReaderMutexLock / WriterMutexLock scoped
-//     guards and AssertReaderHeld() for code reached from worker
-//     threads whose caller holds the lock.
 //   * PhaseRole / PhaseGuard  — a zero-cost "role" capability (clang's
 //     role-based discipline pattern) for state that is protected by
 //     *phase structure* rather than by a lock: the evaluation engine's
@@ -24,14 +19,17 @@
 //     turns a cache access from inside a worker task into a compile
 //     error instead of a data race.
 //
+// There is no reader/writer lock: state that many threads read while
+// one thread replaces it is published as an immutable snapshot behind
+// an atomic shared_ptr (MatcherIndex generations, LiveCorpus epochs),
+// so readers take no lock at all.
+//
 // Lock hierarchy and which state each capability guards:
 // docs/CONCURRENCY.md.
 
 #ifndef GENLINK_COMMON_MUTEX_H_
 #define GENLINK_COMMON_MUTEX_H_
 
-#include <atomic>
-#include <cassert>
 #include <condition_variable>
 #include <mutex>
 
@@ -94,122 +92,6 @@ class CondVar {
 
  private:
   std::condition_variable cv_;
-};
-
-/// Writer-priority shared mutex. std::shared_mutex on glibc prefers
-/// readers: under continuous query traffic a writer could wait forever
-/// for a gap in the read lock. Here a *waiting* writer blocks NEW
-/// readers, so writers complete after at most the in-flight readers
-/// drain (tests/api_test.cc hammers this with four query threads
-/// against 21 back-to-back rule swaps; tests/stress_swap_tsan_test.cc
-/// runs the same shape under ThreadSanitizer). Used by
-/// api/matcher_index.cc to order value-store appends (rule hot swaps)
-/// against concurrent queries.
-class GENLINK_CAPABILITY("mutex") WriterPriorityMutex {
- public:
-  WriterPriorityMutex() = default;
-  WriterPriorityMutex(const WriterPriorityMutex&) = delete;
-  WriterPriorityMutex& operator=(const WriterPriorityMutex&) = delete;
-
-  void ReaderLock() GENLINK_ACQUIRE_SHARED() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    readers_allowed_.wait(lock, [&] {
-      return !writer_active_.load(std::memory_order_relaxed) &&
-             waiting_writers_ == 0;
-    });
-    active_readers_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void ReaderUnlock() GENLINK_RELEASE_SHARED() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (active_readers_.fetch_sub(1, std::memory_order_relaxed) == 1 &&
-        waiting_writers_ > 0) {
-      writers_allowed_.notify_one();
-    }
-  }
-  void WriterLock() GENLINK_ACQUIRE() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    ++waiting_writers_;
-    writers_allowed_.wait(lock, [&] {
-      return !writer_active_.load(std::memory_order_relaxed) &&
-             active_readers_.load(std::memory_order_relaxed) == 0;
-    });
-    --waiting_writers_;
-    writer_active_.store(true, std::memory_order_relaxed);
-  }
-  void WriterUnlock() GENLINK_RELEASE() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    writer_active_.store(false, std::memory_order_relaxed);
-    if (waiting_writers_ > 0) {
-      writers_allowed_.notify_one();
-    } else {
-      readers_allowed_.notify_all();
-    }
-  }
-
-  /// Static + (debug-build) runtime claim that the calling thread is
-  /// inside a read- or write-locked region. For code reached from pool
-  /// workers whose *dispatching* call frame holds the lock (e.g.
-  /// MatchBatch tasks): the analysis cannot see through the task
-  /// boundary, so the worker asserts the capability instead of
-  /// reacquiring it. Sits on query hot paths, hence assert()-only: the
-  /// relaxed atomic loads compile to nothing under NDEBUG. (The check
-  /// is necessarily approximate — *some* reader or writer is active —
-  /// but a stray call from an unlocked context trips it immediately in
-  /// the concurrency tests.)
-  void AssertReaderHeld() const GENLINK_ASSERT_SHARED_CAPABILITY(this) {
-    assert(active_readers_.load(std::memory_order_relaxed) > 0 ||
-           writer_active_.load(std::memory_order_relaxed));
-  }
-  /// Same claim for the exclusive mode (e.g. compile steps that must
-  /// run under the writer lock).
-  void AssertWriterHeld() const GENLINK_ASSERT_CAPABILITY(this) {
-    assert(writer_active_.load(std::memory_order_relaxed));
-  }
-
- private:
-  // The counters are mutated only under mutex_ (the condition-variable
-  // protocol needs that anyway); they are atomics so the Assert*Held
-  // debug checks may read them from unlocked contexts without a data
-  // race.
-  mutable std::mutex mutex_;
-  std::condition_variable readers_allowed_;
-  std::condition_variable writers_allowed_;
-  std::atomic<int> active_readers_{0};
-  int waiting_writers_ = 0;
-  std::atomic<bool> writer_active_{false};
-};
-
-/// RAII shared (read) lock over WriterPriorityMutex.
-class GENLINK_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(WriterPriorityMutex& mutex)
-      GENLINK_ACQUIRE_SHARED(mutex)
-      : mutex_(mutex) {
-    mutex_.ReaderLock();
-  }
-  ~ReaderMutexLock() GENLINK_RELEASE() { mutex_.ReaderUnlock(); }
-
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-
- private:
-  WriterPriorityMutex& mutex_;
-};
-
-/// RAII exclusive (write) lock over WriterPriorityMutex.
-class GENLINK_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(WriterPriorityMutex& mutex) GENLINK_ACQUIRE(mutex)
-      : mutex_(mutex) {
-    mutex_.WriterLock();
-  }
-  ~WriterMutexLock() GENLINK_RELEASE() { mutex_.WriterUnlock(); }
-
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-
- private:
-  WriterPriorityMutex& mutex_;
 };
 
 /// A zero-cost capability for phase-structured code (clang's

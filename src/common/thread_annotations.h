@@ -11,25 +11,21 @@
 //   GENLINK_CAPABILITY(x)        — a class is a lockable capability
 //   GENLINK_SCOPED_CAPABILITY    — an RAII guard acquiring/releasing one
 //   GENLINK_GUARDED_BY(mu)       — data requiring `mu` to touch
-//   GENLINK_PT_GUARDED_BY(mu)    — pointee requiring `mu` to touch
 //   GENLINK_REQUIRES(mu)         — function precondition: `mu` held
-//   GENLINK_REQUIRES_SHARED(mu)  — precondition: `mu` held shared
-//   GENLINK_ACQUIRE(...) / GENLINK_RELEASE(...)            — exclusive
-//   GENLINK_ACQUIRE_SHARED(...) / GENLINK_RELEASE_SHARED(...) — shared
-//   GENLINK_RELEASE_GENERIC(...) — releases either mode
+//   GENLINK_ACQUIRE(...) / GENLINK_RELEASE(...) — take / drop `mu`
 //   GENLINK_TRY_ACQUIRE(b, ...)  — conditional acquire, true on success
 //   GENLINK_EXCLUDES(mu)         — function must NOT hold `mu` (non-
 //                                  reentrancy; analysis-only)
-//   GENLINK_ASSERT_CAPABILITY(mu)        — runtime claim: `mu` is held
-//   GENLINK_ASSERT_SHARED_CAPABILITY(mu) — claim: held at least shared
 //   GENLINK_RETURN_CAPABILITY(mu)        — function returns a ref to `mu`
 //   GENLINK_NO_THREAD_SAFETY_ANALYSIS    — opt a definition out (last
 //                                          resort; say why in a comment)
 //
-// The concrete capability types (Mutex, WriterPriorityMutex, the
-// PhaseRole discipline token) live in common/mutex.h; the lock
-// hierarchy and what each capability guards are documented in
-// docs/CONCURRENCY.md.
+// Every capability is exclusive: there is no shared (reader) mode, so
+// the shared-mode attributes are not wrapped.
+//
+// The concrete capability types (Mutex and the PhaseRole discipline
+// token) live in common/mutex.h; the lock hierarchy and what each
+// capability guards are documented in docs/CONCURRENCY.md.
 
 #ifndef GENLINK_COMMON_THREAD_ANNOTATIONS_H_
 #define GENLINK_COMMON_THREAD_ANNOTATIONS_H_
@@ -46,8 +42,6 @@
 
 #define GENLINK_GUARDED_BY(x) GENLINK_THREAD_ANNOTATION(guarded_by(x))
 
-#define GENLINK_PT_GUARDED_BY(x) GENLINK_THREAD_ANNOTATION(pt_guarded_by(x))
-
 #define GENLINK_ACQUIRED_BEFORE(...) \
   GENLINK_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))
 
@@ -57,38 +51,17 @@
 #define GENLINK_REQUIRES(...) \
   GENLINK_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
 
-#define GENLINK_REQUIRES_SHARED(...) \
-  GENLINK_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
-
 #define GENLINK_ACQUIRE(...) \
   GENLINK_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-
-#define GENLINK_ACQUIRE_SHARED(...) \
-  GENLINK_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 
 #define GENLINK_RELEASE(...) \
   GENLINK_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-#define GENLINK_RELEASE_SHARED(...) \
-  GENLINK_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
-
-#define GENLINK_RELEASE_GENERIC(...) \
-  GENLINK_THREAD_ANNOTATION(release_generic_capability(__VA_ARGS__))
-
 #define GENLINK_TRY_ACQUIRE(...) \
   GENLINK_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
 
-#define GENLINK_TRY_ACQUIRE_SHARED(...) \
-  GENLINK_THREAD_ANNOTATION(try_acquire_shared_capability(__VA_ARGS__))
-
 #define GENLINK_EXCLUDES(...) \
   GENLINK_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-#define GENLINK_ASSERT_CAPABILITY(x) \
-  GENLINK_THREAD_ANNOTATION(assert_capability(x))
-
-#define GENLINK_ASSERT_SHARED_CAPABILITY(x) \
-  GENLINK_THREAD_ANNOTATION(assert_shared_capability(x))
 
 #define GENLINK_RETURN_CAPABILITY(x) GENLINK_THREAD_ANNOTATION(lock_returned(x))
 

@@ -20,8 +20,10 @@ double DistanceMeasure::DistanceViews(std::span<const std::string_view> a,
                                       double bound) const {
   if (IsSetMeasure()) {
     // Generic set measures only understand owning ValueSets; materialize
-    // copies. The built-in set measures all support token ids, so this
-    // fallback is off every hot path.
+    // copies. This is a hot path: MatcherIndex::QueryScore and the live
+    // delta scorer take it for every jaccard, dice and cosine site and
+    // copy both sides on every pair (the store path scores the same
+    // measures on interned token ids through TokenIdDistance).
     ValueSet va(a.begin(), a.end());
     ValueSet vb(b.begin(), b.end());
     return Distance(va, vb);

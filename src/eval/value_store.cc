@@ -11,6 +11,16 @@ namespace genlink {
 
 // ------------------------------------------------------------ StringPool
 
+StringPool::StringPool(const StringPool& other)
+    : blocks_(other.blocks_),
+      // The shared tail block counts as full: the next Intern opens a
+      // block of this pool's own.
+      block_used_(other.block_capacity_),
+      block_capacity_(other.block_capacity_),
+      bytes_(other.bytes_),
+      views_(other.views_),
+      ids_(other.ids_) {}
+
 ValueId StringPool::Intern(std::string_view value) {
   auto it = ids_.find(value);
   if (it != ids_.end()) return it->second;
@@ -19,7 +29,7 @@ ValueId StringPool::Intern(std::string_view value) {
   if (!value.empty()) {
     if (block_used_ + value.size() > block_capacity_ || blocks_.empty()) {
       const size_t capacity = std::max(kBlockSize, value.size());
-      blocks_.push_back(std::make_unique<char[]>(capacity));
+      blocks_.push_back(std::make_shared<char[]>(capacity));
       block_capacity_ = capacity;
       block_used_ = 0;
       bytes_ += capacity;
@@ -77,11 +87,8 @@ ValueStore::ValueStore(const Dataset& source, const Dataset& target) {
   target_.schema = &target.schema();
 }
 
-PlanId ValueStore::Compile(Side side, const ValueOperator& op) {
-  const ValueOperator* ops[] = {&op};
-  PlanId plan = 0;
-  CompileBatch(side, ops, {&plan, 1}, nullptr);
-  return plan;
+std::shared_ptr<ValueStore> ValueStore::Fork() const {
+  return std::shared_ptr<ValueStore>(new ValueStore(*this));
 }
 
 void ValueStore::CompileBatch(Side s,
@@ -133,12 +140,15 @@ void ValueStore::CompileBatch(Side s,
   // (plan registration order x entity order x value order), never on
   // the thread count.
   for (size_t f = 0; f < fresh.size(); ++f) {
-    InternPlan(side.plans[fresh[f].id], raw[f]);
+    side.plans[fresh[f].id] = InternPlan(raw[f]);
   }
   stats_.plans_compiled += fresh.size();
 }
 
-void ValueStore::InternPlan(Plan& plan, std::span<const ValueSet> raw_values) {
+std::shared_ptr<const ValueStore::Plan> ValueStore::InternPlan(
+    std::span<const ValueSet> raw_values) {
+  auto compiled = std::make_shared<Plan>();
+  Plan& plan = *compiled;
   const size_t n = raw_values.size();
   size_t total = 0;
   for (const ValueSet& values : raw_values) total += values.size();
@@ -172,48 +182,41 @@ void ValueStore::InternPlan(Plan& plan, std::span<const ValueSet> raw_values) {
     plan.sorted_offsets[e + 1] = static_cast<uint32_t>(plan.sorted_ids.size());
   }
   stats_.values_stored += total;
+  return compiled;
 }
 
-std::span<const ValueId> ValueStore::Values(Side side, PlanId plan,
+std::span<const ValueId> ValueStore::Values(Side side, PlanId plan_id,
                                             size_t entity_index) const {
-  const Plan& p = side_of(side).plans[plan];
-  return std::span<const ValueId>(p.values.data() + p.offsets[entity_index],
-                                  p.offsets[entity_index + 1] -
-                                      p.offsets[entity_index]);
+  return plan(side, plan_id).Values(entity_index);
 }
 
-std::span<const ValueId> ValueStore::SortedIds(Side side, PlanId plan,
+std::span<const ValueId> ValueStore::SortedIds(Side side, PlanId plan_id,
                                                size_t entity_index) const {
-  const Plan& p = side_of(side).plans[plan];
-  return std::span<const ValueId>(
-      p.sorted_ids.data() + p.sorted_offsets[entity_index],
-      p.sorted_offsets[entity_index + 1] - p.sorted_offsets[entity_index]);
+  return plan(side, plan_id).SortedIds(entity_index);
 }
 
-std::span<const uint32_t> ValueStore::SortedCounts(Side side, PlanId plan,
+std::span<const uint32_t> ValueStore::SortedCounts(Side side, PlanId plan_id,
                                                    size_t entity_index) const {
-  const Plan& p = side_of(side).plans[plan];
-  return std::span<const uint32_t>(
-      p.sorted_counts.data() + p.sorted_offsets[entity_index],
-      p.sorted_offsets[entity_index + 1] - p.sorted_offsets[entity_index]);
+  return plan(side, plan_id).SortedCounts(entity_index);
 }
 
 double ValueStore::PairDistance(const DistanceMeasure& measure,
                                 PlanId source_plan, size_t source_entity,
                                 PlanId target_plan, size_t target_entity,
                                 double bound) const {
-  std::span<const ValueId> va = Values(Side::kSource, source_plan, source_entity);
-  std::span<const ValueId> vb = Values(Side::kTarget, target_plan, target_entity);
+  const Plan& a = plan(Side::kSource, source_plan);
+  const Plan& b = plan(Side::kTarget, target_plan);
+  std::span<const ValueId> va = a.Values(source_entity);
+  std::span<const ValueId> vb = b.Values(target_entity);
   // Matches both the serial short-circuit (similarity 0) and the
   // engine's empty-row convention: ThresholdedScore(inf, θ) == 0.
   if (va.empty() || vb.empty()) return kInfiniteDistance;
 
   if (measure.SupportsTokenIds()) {
-    return measure.TokenIdDistance(
-        SortedIds(Side::kSource, source_plan, source_entity),
-        SortedCounts(Side::kSource, source_plan, source_entity),
-        SortedIds(Side::kTarget, target_plan, target_entity),
-        SortedCounts(Side::kTarget, target_plan, target_entity));
+    return measure.TokenIdDistance(a.SortedIds(source_entity),
+                                   a.SortedCounts(source_entity),
+                                   b.SortedIds(target_entity),
+                                   b.SortedCounts(target_entity));
   }
 
   thread_local std::vector<std::string_view> scratch_a, scratch_b;
@@ -229,10 +232,10 @@ double ValueStore::PairDistance(const DistanceMeasure& measure,
 size_t ValueStore::ApproxBytes() const {
   size_t bytes = pool_.ApproxBytes() + pool_.size() * 48;  // views + map nodes
   for (const SideStore* side : {&source_, &target_}) {
-    for (const Plan& plan : side->plans) {
-      bytes += (plan.offsets.capacity() + plan.sorted_offsets.capacity() +
-                plan.values.capacity() + plan.sorted_ids.capacity() +
-                plan.sorted_counts.capacity()) *
+    for (const std::shared_ptr<const Plan>& plan : side->plans) {
+      bytes += (plan->offsets.capacity() + plan->sorted_offsets.capacity() +
+                plan->values.capacity() + plan->sorted_ids.capacity() +
+                plan->sorted_counts.capacity()) *
                sizeof(uint32_t);
     }
   }
@@ -266,6 +269,21 @@ CompiledRule::CompiledRule(const LinkageRule& rule, ValueStore& store,
                      pool);
   store.CompileBatch(ValueStore::Side::kTarget, target_ops, target_plans_,
                      pool);
+}
+
+std::unique_ptr<CompiledRule> CompiledRule::Resolve(const LinkageRule& rule,
+                                                    const ValueStore& store) {
+  std::unique_ptr<CompiledRule> compiled(new CompiledRule(rule, store));
+  for (const RuleProgram::Site& site : compiled->program_.sites()) {
+    const std::optional<PlanId> source = store.FindPlan(
+        ValueStore::Side::kSource, ValueOperatorHash(*site.op->source()));
+    const std::optional<PlanId> target = store.FindPlan(
+        ValueStore::Side::kTarget, ValueOperatorHash(*site.op->target()));
+    if (!source.has_value() || !target.has_value()) return nullptr;
+    compiled->source_plans_.push_back(*source);
+    compiled->target_plans_.push_back(*target);
+  }
+  return compiled;
 }
 
 double CompiledRule::Score(size_t source_entity, size_t target_entity) const {

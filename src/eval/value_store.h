@@ -49,7 +49,7 @@ using ValueId = uint32_t;
 /// Dense id of one compiled transform plan (scoped to a store side).
 using PlanId = uint32_t;
 
-/// Cumulative counters (survive Clear()).
+/// Cumulative counters (survive Clear(); a Fork() starts from a copy).
 struct ValueStoreStats {
   /// Distinct plans materialized (per side, summed).
   uint64_t plans_compiled = 0;
@@ -63,6 +63,13 @@ struct ValueStoreStats {
 /// until Clear(). Not thread-safe; callers intern in serial phases.
 class StringPool {
  public:
+  StringPool() = default;
+  /// Shares `other`'s blocks and copies its id indexes. The copy interns
+  /// into blocks of its own, so neither pool ever writes a byte the
+  /// other reads.
+  StringPool(const StringPool& other);
+  StringPool& operator=(const StringPool&) = delete;
+
   /// Returns the id of `value`, interning a copy on first sight.
   ValueId Intern(std::string_view value);
 
@@ -75,7 +82,8 @@ class StringPool {
  private:
   static constexpr size_t kBlockSize = 64 * 1024;
 
-  std::vector<std::unique_ptr<char[]>> blocks_;
+  /// Shared with copies; a block's written bytes never change.
+  std::vector<std::shared_ptr<char[]>> blocks_;
   size_t block_used_ = 0;
   size_t block_capacity_ = 0;
   size_t bytes_ = 0;
@@ -138,15 +146,18 @@ class ValueStore final : public ValueReader {
   /// subtree is evaluated and interned once, not once per side.
   ValueStore(const Dataset& source, const Dataset& target);
 
-  /// Compiles `op` on `side`: returns the existing plan when an
-  /// equal-hash subtree was compiled before, otherwise evaluates the
-  /// subtree for every entity of the side and interns the results.
-  /// Serial.
-  PlanId Compile(Side side, const ValueOperator& op);
+  /// A new store holding everything this one holds: it shares the
+  /// compiled plans and pooled string blocks (immutable once built) and
+  /// copies the interning indexes, so compiling into the fork writes
+  /// nothing this store reads. Thread-safe against concurrent readers
+  /// of this store. PlanIds and ValueIds keep their meaning in the
+  /// fork, and new plans are numbered as if compiled into this store.
+  std::shared_ptr<ValueStore> Fork() const;
 
-  /// Batch Compile: registers all ops (deduplicating within the batch
-  /// and against existing plans), evaluates the raw value sets of the
-  /// missing plans — in parallel over plans when `pool` is non-null —
+  /// Compiles `ops` on `side`: registers all ops (deduplicating within
+  /// the batch and against existing plans by structural hash),
+  /// evaluates the raw value sets of the missing plans for every entity
+  /// of the side — in parallel over plans when `pool` is non-null —
   /// then interns serially in registration order, so ids are
   /// independent of the thread count. `plans` must have ops.size()
   /// entries.
@@ -206,14 +217,30 @@ class ValueStore final : public ValueReader {
     std::vector<uint32_t> sorted_offsets;
     std::vector<ValueId> sorted_ids;
     std::vector<uint32_t> sorted_counts;
+
+    std::span<const ValueId> Values(size_t e) const {
+      return {values.data() + offsets[e], offsets[e + 1] - offsets[e]};
+    }
+    std::span<const ValueId> SortedIds(size_t e) const {
+      return {sorted_ids.data() + sorted_offsets[e],
+              sorted_offsets[e + 1] - sorted_offsets[e]};
+    }
+    std::span<const uint32_t> SortedCounts(size_t e) const {
+      return {sorted_counts.data() + sorted_offsets[e],
+              sorted_offsets[e + 1] - sorted_offsets[e]};
+    }
   };
 
   struct SideStore {
     std::vector<const Entity*> entities;
     const Schema* schema = nullptr;
-    std::vector<Plan> plans;
+    /// Shared with forks: a plan never changes once interned.
+    std::vector<std::shared_ptr<const Plan>> plans;
     std::unordered_map<uint64_t, PlanId> plan_by_hash;
   };
+
+  /// The copy behind Fork().
+  ValueStore(const ValueStore&) = default;
 
   SideStore& side_of(Side side) {
     return (side == Side::kSource || shared_sides_) ? source_ : target_;
@@ -221,9 +248,12 @@ class ValueStore final : public ValueReader {
   const SideStore& side_of(Side side) const {
     return (side == Side::kSource || shared_sides_) ? source_ : target_;
   }
+  const Plan& plan(Side side, PlanId id) const {
+    return *side_of(side).plans[id];
+  }
 
   /// Interns one plan's raw per-entity value sets into flat storage.
-  void InternPlan(Plan& plan, std::span<const ValueSet> raw_values);
+  std::shared_ptr<const Plan> InternPlan(std::span<const ValueSet> raw_values);
 
   StringPool pool_;
   SideStore source_;
@@ -252,6 +282,14 @@ class CompiledRule {
   CompiledRule(const LinkageRule& rule, ValueStore& store,
                ThreadPool* pool = nullptr);
 
+  /// Binds `rule` to plans `store` already holds, found with FindPlan:
+  /// the same plans the compiling constructor would return, but `store`
+  /// is only read (not even a hit counter moves), so it may be serving
+  /// other threads meanwhile. Null when some value subtree of `rule`
+  /// has no plan in `store`.
+  static std::unique_ptr<CompiledRule> Resolve(const LinkageRule& rule,
+                                               const ValueStore& store);
+
   /// Target-side plan of each program site, in site order.
   const std::vector<PlanId>& target_plans() const { return target_plans_; }
 
@@ -260,6 +298,9 @@ class CompiledRule {
   double Score(size_t source_entity, size_t target_entity) const;
 
  private:
+  CompiledRule(const LinkageRule& rule, const ValueStore& store)
+      : program_(rule), store_(&store) {}
+
   RuleProgram program_;
   const ValueStore* store_ = nullptr;
   std::vector<PlanId> source_plans_;  // per program site

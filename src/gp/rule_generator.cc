@@ -3,6 +3,20 @@
 #include <cassert>
 
 namespace genlink {
+namespace {
+
+/// Probability of appending a random transformation to each property
+/// of an initial comparison (the paper uses 50%).
+constexpr double kTransformationProbability = 0.5;
+/// Initial rules contain up to this many comparisons (the paper: 2).
+constexpr int64_t kMaxInitialComparisons = 2;
+/// Probability of keeping the measure that detected a compatible pair
+/// (otherwise a random measure is drawn).
+constexpr double kKeepDetectedMeasureProbability = 0.8;
+/// Maximum integer weight assigned to operators.
+constexpr int64_t kMaxWeight = 10;
+
+}  // namespace
 
 std::string_view RepresentationModeName(RepresentationMode mode) {
   switch (mode) {
@@ -70,7 +84,7 @@ double RuleGenerator::RandomThreshold(const DistanceMeasure& measure,
 
 double RuleGenerator::RandomWeight(Rng& rng) const {
   if (config_.mode == RepresentationMode::kBoolean) return 1.0;
-  return static_cast<double>(rng.UniformInt(1, config_.max_weight));
+  return static_cast<double>(rng.UniformInt(1, kMaxWeight));
 }
 
 std::unique_ptr<SimilarityOperator> RuleGenerator::RandomComparison(Rng& rng) const {
@@ -82,7 +96,7 @@ std::unique_ptr<SimilarityOperator> RuleGenerator::RandomComparison(Rng& rng) co
         compatible_pairs_[rng.PickIndex(compatible_pairs_.size())];
     prop_a = pair.property_a;
     prop_b = pair.property_b;
-    measure = rng.Bernoulli(config_.keep_detected_measure_probability)
+    measure = rng.Bernoulli(kKeepDetectedMeasureProbability)
                   ? pair.measure
                   : RandomMeasure(rng);
   } else {
@@ -102,13 +116,13 @@ std::unique_ptr<SimilarityOperator> RuleGenerator::RandomComparison(Rng& rng) co
   if (config_.mode == RepresentationMode::kFull) {
     // With probability 50%, append a random transformation to each
     // property (Section 5.1).
-    if (rng.Bernoulli(config_.transformation_probability)) {
+    if (rng.Bernoulli(kTransformationProbability)) {
       std::vector<std::unique_ptr<ValueOperator>> inputs;
       inputs.push_back(std::move(source));
       source = std::make_unique<TransformOperator>(RandomUnaryTransformation(rng),
                                                    std::move(inputs));
     }
-    if (rng.Bernoulli(config_.transformation_probability)) {
+    if (rng.Bernoulli(kTransformationProbability)) {
       std::vector<std::unique_ptr<ValueOperator>> inputs;
       inputs.push_back(std::move(target));
       target = std::make_unique<TransformOperator>(RandomUnaryTransformation(rng),
@@ -128,8 +142,7 @@ LinkageRule RuleGenerator::RandomRule(Rng& rng) const {
   // initial trees are intentionally small; the genetic operators grow
   // them as needed.
   size_t num_comparisons =
-      static_cast<size_t>(rng.UniformInt(1, std::max<int64_t>(
-          1, static_cast<int64_t>(config_.max_initial_comparisons))));
+      static_cast<size_t>(rng.UniformInt(1, kMaxInitialComparisons));
   std::vector<std::unique_ptr<SimilarityOperator>> operands;
   operands.reserve(num_comparisons);
   for (size_t i = 0; i < num_comparisons; ++i) {

@@ -41,19 +41,9 @@ std::string_view RepresentationModeName(RepresentationMode mode);
 /// Configuration of the random generator.
 struct RuleGeneratorConfig {
   RepresentationMode mode = RepresentationMode::kFull;
-  /// Probability of appending a random transformation to each property
-  /// of an initial comparison (the paper uses 50%).
-  double transformation_probability = 0.5;
-  /// Initial rules contain up to this many comparisons (the paper: 2).
-  size_t max_initial_comparisons = 2;
   /// When false, compatible pairs are ignored and property pairs are
   /// drawn uniformly at random (the "Random" column of Table 14).
   bool seeded = true;
-  /// Probability of keeping the measure that detected a compatible pair
-  /// (otherwise a random measure is drawn).
-  double keep_detected_measure_probability = 0.8;
-  /// Maximum integer weight assigned to operators.
-  int max_weight = 10;
 };
 
 /// Generates random linkage rules and random rule fragments.
@@ -89,7 +79,7 @@ class RuleGenerator {
   /// Draws a random threshold for `measure` (uniform in (0, max]).
   double RandomThreshold(const DistanceMeasure& measure, Rng& rng) const;
 
-  /// Draws a random integer weight in [1, max_weight] (1 in boolean mode).
+  /// Draws a random integer weight in [1, 10] (1 in boolean mode).
   double RandomWeight(Rng& rng) const;
 
   const RuleGeneratorConfig& config() const { return config_; }

@@ -11,8 +11,6 @@
 #include "common/hash.h"
 #include "io/atomic_write.h"
 #include "rule/rule_hash.h"
-#include "text/case_fold.h"
-#include "text/tokenizer.h"
 
 namespace genlink {
 namespace {
@@ -147,35 +145,6 @@ constexpr char kZeros[8] = {0};
 
 std::string InPath(const std::string& path) { return "'" + path + "'"; }
 
-/// Thread-local epoch-stamped membership scratch for posting
-/// deduplication — same contract and rationale as blocking.cc's
-/// StampScratch (O(1) clear, never shared across threads); a separate
-/// TLS variable, so mapped and in-memory indexes on one thread don't
-/// interleave epochs within a call.
-struct ProbeScratch {
-  std::vector<uint32_t> stamp;
-  uint32_t epoch = 0;
-
-  void Begin(size_t n) {
-    if (stamp.size() < n) stamp.resize(n, 0);
-    if (++epoch == 0) {
-      std::fill(stamp.begin(), stamp.end(), 0);
-      epoch = 1;
-    }
-  }
-
-  bool Insert(size_t j) {
-    if (stamp[j] == epoch) return false;
-    stamp[j] = epoch;
-    return true;
-  }
-};
-
-ProbeScratch& TlsProbeScratch() {
-  thread_local ProbeScratch scratch;
-  return scratch;
-}
-
 }  // namespace
 
 // --------------------------------------------------- MappedBlockingIndex
@@ -191,27 +160,15 @@ class MappedBlockingIndex final : public BlockingIndex {
 
   std::vector<size_t> Candidates(const Entity& entity,
                                  const Schema& schema) const override {
-    ProbeScratch& scratch = TlsProbeScratch();
-    scratch.Begin(corpus_->num_entities_);
-    std::vector<size_t> out;
-    // As in TokenBlockingIndex::Candidates: every property of the query
-    // schema probes (query schemata generally differ from the corpus).
-    for (PropertyId p = 0; p < schema.NumProperties(); ++p) {
-      for (const auto& value : entity.Values(p)) {
-        for (auto& token : TokenizeAlnum(ToLowerAscii(value))) {
+    return ProbeCandidates(
+        entity, schema, corpus_->num_entities_,
+        [&](const std::string& token) -> std::span<const uint32_t> {
           const auto t = FindToken(token);
-          if (!t.has_value()) continue;
+          if (!t.has_value()) return {};
           const uint64_t begin = corpus_->posting_offsets_[*t];
           const uint64_t end = corpus_->posting_offsets_[*t + 1];
-          for (uint64_t k = begin; k < end; ++k) {
-            const size_t j = corpus_->postings_[k];
-            if (scratch.Insert(j)) out.push_back(j);
-          }
-        }
-      }
-    }
-    std::sort(out.begin(), out.end());
-    return out;
+          return {corpus_->postings_ + begin, end - begin};
+        });
   }
 
   size_t NumTokens() const override { return corpus_->num_tokens_; }

@@ -7,8 +7,8 @@
 // writer appends into the tail chunk's next free slot; a published
 // snapshot holds the chunk pointers plus a count and only ever reads
 // slots below that count, so the writer never mutates memory a reader
-// can see — the same immutable-prefix discipline as the value store's
-// append-only PlanIds. Publication of the enclosing snapshot
+// can see — the same rule that keeps a MatcherIndex generation's value
+// store unwritten once published. Publication of the enclosing snapshot
 // (std::atomic_store on a shared_ptr) is the release barrier that
 // makes a freshly written entry visible.
 

@@ -114,7 +114,7 @@ Result<std::unique_ptr<LiveCorpus>> LiveCorpus::CreateImpl(
   live->live_options_ = live_options;
   live->pool_ = std::make_unique<ThreadPool>(options.num_threads);
 
-  WriterMutexLock lock(live->mutex_);
+  MutexLock lock(live->mutex_);
   live->user_options_ = options;
   live->user_options_.cancel = nullptr;
   live->deployment_ = deployment;
@@ -307,7 +307,7 @@ Status LiveCorpus::ApplyBatchLocked(std::span<const LiveOp> ops,
 
 Status LiveCorpus::ApplyBatch(std::span<const LiveOp> ops,
                               const Schema& schema) {
-  WriterMutexLock lock(mutex_);
+  MutexLock lock(mutex_);
   return ApplyBatchLocked(ops, schema);
 }
 
@@ -315,7 +315,7 @@ Status LiveCorpus::Upsert(const Entity& entity, const Schema& schema) {
   LiveOp op;
   op.kind = LiveOp::Kind::kUpsert;
   op.entity = entity;
-  WriterMutexLock lock(mutex_);
+  MutexLock lock(mutex_);
   return ApplyBatchLocked(std::span<const LiveOp>(&op, 1), schema);
 }
 
@@ -323,7 +323,7 @@ Status LiveCorpus::Remove(std::string_view id) {
   LiveOp op;
   op.kind = LiveOp::Kind::kRemove;
   op.id = std::string(id);
-  WriterMutexLock lock(mutex_);
+  MutexLock lock(mutex_);
   return ApplyBatchLocked(std::span<const LiveOp>(&op, 1), schema_);
 }
 
@@ -353,7 +353,7 @@ Result<Dataset> LiveCorpus::MaterializeLogicalLocked() const {
 }
 
 Result<Dataset> LiveCorpus::MaterializeLogical() const {
-  ReaderMutexLock lock(mutex_);
+  MutexLock lock(mutex_);
   return MaterializeLogicalLocked();
 }
 
@@ -392,12 +392,12 @@ Status LiveCorpus::CompactLocked(const std::string* artifact_path) {
 }
 
 Status LiveCorpus::Compact() {
-  WriterMutexLock lock(mutex_);
+  MutexLock lock(mutex_);
   return CompactLocked(nullptr);
 }
 
 Status LiveCorpus::CompactTo(const std::string& artifact_path) {
-  WriterMutexLock lock(mutex_);
+  MutexLock lock(mutex_);
   return CompactLocked(&artifact_path);
 }
 
@@ -406,7 +406,7 @@ Status LiveCorpus::DeployRule(const LinkageRule& rule,
   GENLINK_RETURN_IF_ERROR(ValidateConfig(rule, options));
   auto deployment = std::make_shared<const Deployment>(rule);
 
-  WriterMutexLock lock(mutex_);
+  MutexLock lock(mutex_);
   // Rebuild the base index first — over a mapped base this can fail
   // (artifact missing the new rule's plans), and then nothing may
   // change: the old rule keeps serving.
@@ -500,7 +500,7 @@ std::vector<GeneratedLink> LiveCorpus::MatchOne(const Snapshot& snap,
   }
 
   // Candidates: probe the delta postings with the tokens of every
-  // property of the query (the ProbePostings contract — the query
+  // property of the query (the ProbeCandidates contract — the query
   // schema generally differs from the indexed one), or scan every live
   // entry when blocking is off. Sorted-unique so enumeration order can
   // never reach the output.
@@ -596,7 +596,7 @@ std::vector<GeneratedLink> LiveCorpus::MatchBatch(
 }
 
 LiveCorpusStats LiveCorpus::stats() const {
-  ReaderMutexLock lock(mutex_);
+  MutexLock lock(mutex_);
   LiveCorpusStats out;
   out.epoch = epoch_;
   out.base_entities = base_dead_.size();

@@ -19,8 +19,8 @@
 // uses for rule generations — so queries run against a consistent
 // `base ⊎ delta − tombstones` view with ZERO reader locking: readers
 // load the snapshot pointer and never touch the writer mutex. Writers
-// (Upsert/Remove/ApplyBatch/Compact/DeployRule) serialize on a
-// writer-priority lock; stats() takes its reader side.
+// (Upsert/Remove/ApplyBatch/Compact/DeployRule) and stats() serialize
+// on one Mutex.
 //
 // Correctness gate (tests/live_corpus_test.cc): after ANY interleaving
 // of upserts, removes and compactions, MatchEntity/MatchBatch answer
@@ -269,8 +269,7 @@ class LiveCorpus {
 
   Status ApplyBatchLocked(std::span<const LiveOp> ops, const Schema& schema)
       GENLINK_REQUIRES(mutex_);
-  Result<Dataset> MaterializeLogicalLocked() const
-      GENLINK_REQUIRES_SHARED(mutex_);
+  Result<Dataset> MaterializeLogicalLocked() const GENLINK_REQUIRES(mutex_);
   /// Marks the live entity `id` dead (base tombstone or delta dead
   /// mark). The caller already verified it is live.
   void KillLocked(const std::string& id) GENLINK_REQUIRES(mutex_);
@@ -292,10 +291,9 @@ class LiveCorpus {
   Schema schema_;
   std::unique_ptr<ThreadPool> pool_;
 
-  /// Writer-priority lock over the master state below: mutations hold
-  /// the writer side, stats() the reader side. Query paths never touch
-  /// it — they read the published snapshot.
-  mutable WriterPriorityMutex mutex_;
+  /// Guards the master state below: mutations and stats() hold it.
+  /// Query paths never touch it — they read the published snapshot.
+  mutable Mutex mutex_;
   MatchOptions user_options_ GENLINK_GUARDED_BY(mutex_);
   std::shared_ptr<const Deployment> deployment_ GENLINK_GUARDED_BY(mutex_);
   /// Owned base corpus (null over a mapped base). Snapshots share it.

@@ -114,8 +114,9 @@ std::vector<std::vector<std::string>> ComputeEntityKeys(
 /// per-source-entity loop, so a hash set per call would dominate.
 /// Thread-local so concurrent queries — from the matcher pool or
 /// external callers — never share it; the epoch bump makes clearing
-/// O(1). Shared by all index instances on a thread: every call bumps
-/// the epoch, so stale stamps from another index can never collide
+/// O(1). Shared by all index instances on a thread, in-memory and
+/// mapped alike: every call bumps the epoch and no probe nests inside
+/// another, so stale stamps from another index can never collide
 /// within a call. tests/blocking_concurrency_test.cc exercises this
 /// under TSan.
 struct StampScratch {
@@ -170,26 +171,23 @@ TokenBlockingIndex::TokenBlockingIndex(const Dataset& dataset,
       ComputeEntityKeys(dataset, resolved, options);
   for (size_t i = 0; i < keys.size(); ++i) {
     for (auto& token : keys[i]) {
-      index_[std::move(token)].push_back(i);
+      index_[std::move(token)].push_back(static_cast<uint32_t>(i));
       ++postings_;
     }
   }
 }
 
-std::vector<size_t> TokenBlockingIndex::Candidates(const Entity& entity,
-                                                   const Schema& schema) const {
+std::vector<size_t> ProbeCandidates(
+    const Entity& entity, const Schema& schema, size_t num_entities,
+    const std::function<std::span<const uint32_t>(const std::string&)>&
+        postings) {
   StampScratch& scratch = TlsStamp();
-  scratch.Begin(dataset_->size());
+  scratch.Begin(num_entities);
   std::vector<size_t> out;
-  // Probe with the tokens of every property of the query entity; the
-  // source schema generally differs from the indexed one, so all
-  // properties are used.
   for (PropertyId p = 0; p < schema.NumProperties(); ++p) {
     for (const auto& value : entity.Values(p)) {
-      for (auto& token : TokenizeAlnum(ToLowerAscii(value))) {
-        auto it = index_.find(token);
-        if (it == index_.end()) continue;
-        for (size_t j : it->second) {
+      for (const std::string& token : TokenizeAlnum(ToLowerAscii(value))) {
+        for (const uint32_t j : postings(token)) {
           if (scratch.Insert(j)) out.push_back(j);
         }
       }
@@ -197,6 +195,17 @@ std::vector<size_t> TokenBlockingIndex::Candidates(const Entity& entity,
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+std::vector<size_t> TokenBlockingIndex::Candidates(const Entity& entity,
+                                                   const Schema& schema) const {
+  return ProbeCandidates(
+      entity, schema, dataset_->size(),
+      [&](const std::string& token) -> std::span<const uint32_t> {
+        const auto it = index_.find(token);
+        if (it == index_.end()) return {};
+        return it->second;
+      });
 }
 
 std::vector<std::string> SourceProperties(const LinkageRule& rule) {

@@ -21,6 +21,9 @@
 #ifndef GENLINK_MATCHER_BLOCKING_H_
 #define GENLINK_MATCHER_BLOCKING_H_
 
+#include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -46,7 +49,7 @@ struct TokenBlockingOptions {
 
 /// Candidate generation interface shared by the in-memory and mapped
 /// indexes. Implementations are immutable after construction and safe
-/// to query concurrently (see TokenBlockingIndex for the scratch
+/// to query concurrently (see ProbeCandidates for the scratch
 /// contract).
 class BlockingIndex {
  public:
@@ -64,17 +67,30 @@ class BlockingIndex {
   virtual size_t NumPostings() const = 0;
 };
 
+/// The probe loop of every BlockingIndex: tokenizes each value of each
+/// property of `entity` (lowercased alnum runs; the query schema
+/// generally differs from the indexed one, so all properties probe),
+/// reads each token's postings through `postings` (empty for an
+/// unknown token), and returns the distinct entity indexes, sorted.
+/// Postings must lie in [0, num_entities).
+///
+/// Thread safety: the only mutable state is one thread_local
+/// epoch-stamped scratch array shared by every index on the thread
+/// (blocking.cc, docs/CONCURRENCY.md), so concurrent callers never
+/// share scratch and no locking is needed
+/// (tests/blocking_concurrency_test.cc exercises this under TSan).
+std::vector<size_t> ProbeCandidates(
+    const Entity& entity, const Schema& schema, size_t num_entities,
+    const std::function<std::span<const uint32_t>(const std::string&)>&
+        postings);
+
 /// Inverted index from token to entity indexes of the target dataset.
 ///
 /// Thread safety: immutable after construction; Candidates() is const
-/// and safe to call concurrently from any number of threads. Its only
-/// mutable state is a thread_local epoch-stamped scratch array (see
-/// blocking.cc and docs/CONCURRENCY.md), so concurrent callers never
-/// share scratch and no locking is needed
-/// (tests/blocking_concurrency_test.cc exercises this under TSan).
-/// api/matcher_index.cc shares one index across rule generations
-/// through a shared_ptr<const BlockingIndex> in a cache guarded by the
-/// corpus lock.
+/// and safe to call concurrently from any number of threads
+/// (ProbeCandidates). api/matcher_index.cc shares one index across rule
+/// generations through a shared_ptr<const BlockingIndex> in a cache
+/// guarded by the corpus mutex.
 class TokenBlockingIndex : public BlockingIndex {
  public:
   /// Indexes `dataset` over the given properties (all properties when
@@ -95,7 +111,7 @@ class TokenBlockingIndex : public BlockingIndex {
   /// Read-only after construction (the const-thread-safety contract
   /// above). Iteration order never reaches output: Candidates() probes
   /// by key and sorts its result.
-  std::unordered_map<std::string, std::vector<size_t>> index_;
+  std::unordered_map<std::string, std::vector<uint32_t>> index_;
 };
 
 /// The blocking keys of every entity of `dataset` over `properties`

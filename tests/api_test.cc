@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +26,7 @@
 #include "rule/rule_hash.h"
 #include "rule/serialize.h"
 #include "test_tmpdir.h"
+#include "transform/transformation.h"
 
 namespace genlink {
 namespace {
@@ -295,10 +299,11 @@ TEST(MatcherIndexTest, WithRuleHotSwapEquivalence) {
 }
 
 // Queries on a published index must stay safe while WithRule
-// generations compile against the shared corpus (the read/write lock
-// on the store): hammer MatchEntity from several threads while the
-// main thread keeps hot-swapping between two rules, then check every
-// answer matches one of the two rules' reference answers.
+// generations compile against the shared corpus (each generation reads
+// only its own immutable store): hammer MatchEntity from several
+// threads while the main thread keeps hot-swapping between two rules,
+// then check every answer matches one of the two rules' reference
+// answers.
 TEST(MatcherIndexTest, ConcurrentQueriesDuringHotSwapsAreConsistent) {
   MatchingTask task = SmallRestaurant();
   LinkageRule first = RestaurantRule();
@@ -334,10 +339,9 @@ TEST(MatcherIndexTest, ConcurrentQueriesDuringHotSwapsAreConsistent) {
       }
     });
   }
-  // Swap back and forth; each swap compiles under the corpus write
-  // lock while the workers keep reading. (The workers query the
-  // ORIGINAL index object throughout — old generations must stay valid
-  // while new ones compile.)
+  // Swap back and forth while the workers keep reading. (The workers
+  // query the ORIGINAL index object throughout — old generations must
+  // stay valid while new ones compile.)
   std::shared_ptr<const MatcherIndex> current = index;
   for (int swap = 0; swap <= 20; ++swap) {
     current = current->WithRule(swap % 2 == 0 ? second : first);
@@ -352,6 +356,84 @@ TEST(MatcherIndexTest, ConcurrentQueriesDuringHotSwapsAreConsistent) {
                   answers_first, "original generation after swaps");
   ExpectSameLinks(JoinFromEntityQueries(*current, task.a, /*dedup=*/true),
                   answers_second, "final generation (last swap = second)");
+}
+
+/// An identity transformation whose first Apply blocks until Release()
+/// (for at most 5 s), so a test can hold a WithRule compile open.
+class GatedIdentity : public Transformation {
+ public:
+  std::string_view name() const override { return "gatedIdentity"; }
+  ValueSet Apply(std::span<const ValueSet> inputs) const override {
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!entered_) {
+      entered_ = true;
+      changed_.notify_all();
+      changed_.wait_for(lock, std::chrono::seconds(5), [&] { return released_; });
+    }
+    return inputs[0];
+  }
+
+  /// True once the first Apply is blocked (waits at most 5 s).
+  bool WaitUntilEntered() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return changed_.wait_for(lock, std::chrono::seconds(5),
+                             [&] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    changed_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::condition_variable changed_;
+  mutable bool entered_ = false;
+  bool released_ = false;
+};
+
+// A hot swap must not stall queries: while WithRule compiles a plan for
+// the new rule, MatchEntity on the old generation answers at once, with
+// the old rule's links. The new rule's target subtree runs a gated
+// transformation, so the compile stays open until the query is done.
+TEST(MatcherIndexTest, QueriesDoNotWaitForAHotSwapCompile) {
+  MatchingTask task = SmallRestaurant();
+  auto index =
+      MatcherIndex::Build(task.a, task.a, RestaurantRule(), MatchOptions{});
+  const Entity& probe = task.a.entity(0);
+  const std::vector<GeneratedLink> expected =
+      index->MatchEntity(probe, task.a.schema());
+
+  auto second_or = RuleBuilder()
+                       .Compare("levenshtein", 1.0, Prop("phone").Lower(),
+                                Prop("phone").Lower())
+                       .Build();
+  ASSERT_TRUE(second_or.ok());
+  LinkageRule second = std::move(second_or).value();
+  GatedIdentity gate;
+  // A distinct function instance hashes to a plan no store holds yet.
+  auto& comparison = static_cast<ComparisonOperator&>(*second.mutable_root());
+  static_cast<TransformOperator&>(*comparison.mutable_target())
+      .set_function(&gate);
+
+  std::shared_ptr<const MatcherIndex> swapped;
+  std::thread swapper([&] { swapped = index->WithRule(second); });
+  const bool entered = gate.WaitUntilEntered();
+  const auto start = std::chrono::steady_clock::now();
+  const std::vector<GeneratedLink> during =
+      index->MatchEntity(probe, task.a.schema());
+  const double waited = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+  gate.Release();
+  swapper.join();
+
+  ASSERT_TRUE(entered) << "the compile never reached the gated plan";
+  EXPECT_LT(waited, 1.0) << "MatchEntity waited for the WithRule compile";
+  ExpectSameLinks(during, expected, "old generation during the compile");
+  ASSERT_NE(swapped, nullptr);
+  ExpectSameLinks(swapped->MatchDataset(),
+                  GenerateLinks(second, task.a, task.a), "swapped rule");
 }
 
 TEST(MatcherIndexTest, StatsReportArtifactSizes) {

@@ -1,9 +1,10 @@
-// Regression coverage for concurrent TokenBlockingIndex::Candidates on
-// a single shared index. The probe dedups through an epoch-stamped
-// thread_local scratch; before the epoch stamps, two threads probing
-// the same index (or two indexes from one thread interleaved across
-// tasks) could observe each other's seen-marks and drop candidates.
-// Runs under the `concurrency` label so the TSan CI leg picks it up.
+// Regression coverage for concurrent BlockingIndex::Candidates on a
+// single shared index. The probe (ProbeCandidates) dedups through one
+// epoch-stamped thread_local scratch shared by the in-memory and mapped
+// indexes; before the epoch stamps, two threads probing the same index
+// (or two indexes from one thread interleaved across tasks) could
+// observe each other's seen-marks and drop candidates. Runs under the
+// `concurrency` label so the TSan CI leg picks it up.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,10 @@
 
 #include "datasets/restaurant.h"
 #include "datasets/synthetic.h"
+#include "io/corpus_artifact.h"
 #include "matcher/blocking.h"
+#include "rule/builder.h"
+#include "test_tmpdir.h"
 
 namespace genlink {
 namespace {
@@ -59,14 +63,28 @@ TEST(BlockingConcurrencyTest, ConcurrentCandidatesOnSharedTokenIndex) {
 }
 
 TEST(BlockingConcurrencyTest, TwoIndexesProbedByTheSamePool) {
-  // The scratch is shared per thread across index instances; probing
-  // two different indexes from the same threads must not cross-talk.
+  // The scratch is shared per thread across index instances and across
+  // the two index kinds; probing an in-memory and a mapped index from
+  // the same threads must not cross-talk.
   SyntheticConfig config;
   config.num_entities = 1500;
   const MatchingTask synthetic = GenerateSynthetic(config);
   const MatchingTask restaurant = GenerateRestaurant(RestaurantConfig{});
   const TokenBlockingIndex synthetic_index(synthetic.Target());
-  const TokenBlockingIndex restaurant_index(restaurant.Target());
+
+  auto rule = RuleBuilder()
+                  .Compare("jaccard", 0.8, Prop("name").Lower().Tokenize(),
+                           Prop("name").Lower().Tokenize())
+                  .Build();
+  ASSERT_TRUE(rule.ok());
+  const std::string path = TestTempPath("restaurant.glidx");
+  ASSERT_TRUE(WriteCorpusArtifact(path, restaurant.Target(), *rule,
+                                  MatchOptions())
+                  .ok());
+  auto mapped = MappedCorpus::Load(path);
+  ASSERT_TRUE(mapped.ok());
+  ASSERT_TRUE((*mapped)->has_blocking());
+  const BlockingIndex& restaurant_index = *(*mapped)->blocking();
 
   std::vector<std::vector<size_t>> synthetic_reference(synthetic.a.size());
   for (size_t i = 0; i < synthetic.a.size(); ++i) {

@@ -3,11 +3,12 @@
 // (MatchEntity, MatchBatch, stats) against a published
 // shared_ptr<const MatcherIndex> while a writer thread keeps
 // hot-swapping rules with WithRule and republishing. Under
-// -DGENLINK_SANITIZE=thread this exercises the writer-priority lock,
-// the shared value store appends, the blocking-index cache, and the
-// atomic publish pattern the API header documents; under a plain build
-// it is a fast smoke test of the same paths (it stays in tier-1 so the
-// schedule keeps being exercised).
+// -DGENLINK_SANITIZE=thread this exercises lock-free queries against
+// immutable per-generation value stores, store forks that share plans
+// and pooled strings with published stores, the blocking-index cache,
+// and the atomic publish pattern the API header documents; under a
+// plain build it is a fast smoke test of the same paths (it stays in
+// tier-1 so the schedule keeps being exercised).
 //
 // tests/api_test.cc checks the *answers* under swaps; this test's job
 // is purely to put every cross-thread access pattern in front of TSan,
@@ -124,9 +125,10 @@ TEST(StressSwapTsanTest, QueriesRaceHotSwapsCleanly) {
     });
   }
 
-  // Writer: alternate rules; every WithRule compiles against the
-  // SHARED corpus under the write lock while readers hold read locks,
-  // then the new generation is published with an atomic store.
+  // Writer: alternate rules; every WithRule resolves or forks the
+  // SHARED corpus's newest store while readers query published
+  // generations, then the new generation is published with an atomic
+  // store.
   for (int swap = 1; swap <= kSwaps; ++swap) {
     std::shared_ptr<const MatcherIndex> current = std::atomic_load(serving.get());
     std::atomic_store(serving.get(), current->WithRule(rules[swap % 2]));

@@ -342,7 +342,7 @@ def lint_file(path: str, rel_path: str, result: LintResult) -> None:
                 emit(idx, "raw-mutex",
                      f"`{m.group(0)}` outside common/ is invisible to "
                      "-Wthread-safety; use the annotated wrappers in "
-                     "common/mutex.h (Mutex, CondVar, WriterPriorityMutex)")
+                     "common/mutex.h (Mutex, MutexLock, CondVar)")
 
         # float-accum needs loop tracking regardless of gating so the
         # brace bookkeeping stays consistent; only emit when gated.

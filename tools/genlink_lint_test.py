@@ -200,7 +200,7 @@ class RawMutexRuleTest(LintHarness):
     def test_annotated_wrappers_are_fine(self):
         r = self.lint("src/api/x.h", """\
   Mutex mutex_;
-  WriterPriorityMutex rw_;
+  CondVar cv_;
 """)
         self.assertEqual(self.rules(r), [])
 
