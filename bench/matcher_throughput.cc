@@ -1,8 +1,9 @@
 // Full-dataset matching throughput on Restaurant (the CLI `match` /
-// `learn --match` scenario): GenerateLinks (the value-store compiled
-// path, eval/value_store.h) vs a per-pair operator-tree join that calls
-// LinkageRule::Evaluate on the same candidates, with token blocking and
-// over the exhaustive cross product, at one worker thread.
+// `learn --match` scenario): GenerateLinks (MatcherIndex's one scorer
+// over the target-side value store, api/matcher_index.h) vs a per-pair
+// operator-tree join that calls LinkageRule::Evaluate on the same
+// candidates, with token blocking and over the exhaustive cross
+// product, at one worker thread.
 //
 // Doubles as a CI gate: the two paths must produce bit-identical link
 // sets (ids, scores and order); any divergence exits non-zero.

@@ -14,7 +14,8 @@
 // Doubles as a CI gate, exiting non-zero when either fails:
 //   * bit-identity — MatchDataset AND the MatchBatch reconstruction
 //     must reproduce GenerateLinks' links exactly (ids, scores,
-//     order), which pins the query scorer to the compiled-store path;
+//     order): every surface runs the index's one scorer, and this pins
+//     the per-query surfaces to the full join's pairs and order;
 //   * amortization — serving one entity from the prebuilt index must
 //     be >= 10x faster than the per-entity rate of answering it with a
 //     fresh GenerateLinks call (extra.speedup_vs_fresh in

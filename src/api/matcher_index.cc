@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <optional>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -17,13 +19,6 @@
 
 namespace genlink {
 namespace {
-
-std::vector<const Entity*> DatasetPointers(const Dataset& dataset) {
-  std::vector<const Entity*> pointers;
-  pointers.reserve(dataset.size());
-  for (const Entity& entity : dataset.entities()) pointers.push_back(&entity);
-  return pointers;
-}
 
 /// The documented best_match_only winner: highest score, then smallest
 /// id_b (see MatchOptions::best_match_only). min_element under this
@@ -57,11 +52,46 @@ double Elapsed(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
+/// A target plan's vocabulary. Ids are the reader's interned ids, and
+/// distinct ids have distinct bytes, so the byte order is strict and a
+/// query value found here has exactly the id its target-side equal
+/// carries. A value the plan never holds cannot intersect any of the
+/// plan's token sets, so it may take any id the plan does not use:
+/// Find hands out ids from `fresh` upwards.
+struct MatcherIndex::Vocabulary {
+  Vocabulary(const ValueReader& reader, PlanId plan) {
+    for (size_t e = 0; e < reader.num_entities(); ++e) {
+      const std::span<const ValueId> sorted = reader.SortedIds(plan, e);
+      ids.insert(ids.end(), sorted.begin(), sorted.end());
+    }
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    if (!ids.empty()) fresh = ids.back() + 1;
+    std::sort(ids.begin(), ids.end(), [&](ValueId x, ValueId y) {
+      return reader.View(x) < reader.View(y);
+    });
+  }
+
+  /// The id of `value` under the plan, or nullopt when no target entity
+  /// holds it.
+  std::optional<ValueId> Find(const ValueReader& reader,
+                              std::string_view value) const {
+    const auto it = std::lower_bound(
+        ids.begin(), ids.end(), value,
+        [&](ValueId id, std::string_view v) { return reader.View(id) < v; });
+    if (it == ids.end() || reader.View(*it) != value) return std::nullopt;
+    return *it;
+  }
+
+  std::vector<ValueId> ids;  // distinct, ascending by bytes
+  ValueId fresh = 0;         // one above the largest id in `ids`
+};
+
 // The dataset-side state every WithRule generation shares. Queries
-// never touch the mutex: each generation reads only its own value store
-// and blocking index, both immutable once the generation is built. The
-// mutex serializes compiles, which read `latest_store` and the blocking
-// cache and record what they built there.
+// never touch the mutex: each generation reads only its own value
+// store, blocking index and vocabularies, all immutable once the
+// generation is built. The mutex serializes compiles, which read
+// `latest_store` and the caches and record what they built there.
 struct MatcherIndex::Corpus {
   const Dataset* source = nullptr;  // null for serving-only builds
   const Dataset* target = nullptr;  // null for mapped-corpus builds
@@ -82,6 +112,11 @@ struct MatcherIndex::Corpus {
   using BlockingKey = std::tuple<std::vector<std::string>, size_t, size_t>;
   std::map<BlockingKey, std::shared_ptr<const BlockingIndex>> blocking_cache
       GENLINK_GUARDED_BY(mutex);
+  /// Vocabularies of the set-measure target plans compiled so far. A
+  /// PlanId keeps its plan in every fork of the store (and in the
+  /// mapped file), so one vocabulary serves every generation.
+  std::map<PlanId, std::shared_ptr<const Vocabulary>> vocabularies
+      GENLINK_GUARDED_BY(mutex);
   std::unique_ptr<ThreadPool> pool;
 
   // Target-side accessors every query path uses, so the dataset-backed
@@ -99,10 +134,17 @@ struct MatcherIndex::Corpus {
 };
 
 /// Source-side values of one query entity: each distinct value subtree
-/// of the rule evaluated once per query (not once per candidate).
+/// of the rule evaluated once per query (not once per candidate). The
+/// query paths keep one per thread: EvaluateQueryOps refills every slot,
+/// so a reused instance only lends its capacity.
 struct MatcherIndex::QueryValues {
   std::vector<ValueSet> values;                      // per query_ops_ slot
   std::vector<std::vector<std::string_view>> views;  // views into values
+  /// Per set-measure site: its source values as strictly increasing
+  /// vocabulary ids with their multiplicities (the ValueReader
+  /// SortedIds/SortedCounts form).
+  std::vector<std::vector<ValueId>> ids;
+  std::vector<std::vector<uint32_t>> counts;
 };
 
 MatcherIndex::MatcherIndex(std::shared_ptr<Corpus> corpus, LinkageRule rule,
@@ -117,44 +159,28 @@ MatcherIndex::~MatcherIndex() = default;
 std::shared_ptr<const MatcherIndex> MatcherIndex::Build(
     const Dataset& source, const Dataset& target, const LinkageRule& rule,
     const MatchOptions& options) {
-  auto corpus = std::make_shared<Corpus>();
-  corpus->source = &source;
-  corpus->target = &target;
-  corpus->pool = std::make_unique<ThreadPool>(options.num_threads);
-  {
-    MutexLock lock(corpus->mutex);
-    corpus->latest_store = std::make_shared<const ValueStore>(source, target);
-  }
-  std::shared_ptr<MatcherIndex> index(
-      new MatcherIndex(corpus, rule.Clone(), options));
-  const auto start = std::chrono::steady_clock::now();
-  index->Compile();
-  index->build_seconds_ = Elapsed(start);
-  return index;
+  return BuildOverDataset(&source, target, rule, options);
 }
 
 std::shared_ptr<const MatcherIndex> MatcherIndex::Build(
     const Dataset& target, const LinkageRule& rule,
     const MatchOptions& options) {
+  return BuildOverDataset(nullptr, target, rule, options);
+}
+
+std::shared_ptr<const MatcherIndex> MatcherIndex::BuildOverDataset(
+    const Dataset* source, const Dataset& target, const LinkageRule& rule,
+    const MatchOptions& options) {
   auto corpus = std::make_shared<Corpus>();
+  corpus->source = source;
   corpus->target = &target;
   corpus->pool = std::make_unique<ThreadPool>(options.num_threads);
-  // No bound source: the store's source side stays empty (source plans
-  // register with zero entities), queries evaluate their own values
-  // through the query scorer.
-  const std::vector<const Entity*> target_pointers = DatasetPointers(target);
   {
     MutexLock lock(corpus->mutex);
-    corpus->latest_store = std::make_shared<const ValueStore>(
-        std::span<const Entity* const>{}, target.schema(),
-        std::span<const Entity* const>(target_pointers), target.schema());
+    corpus->latest_store = std::make_shared<const ValueStore>(target);
   }
-  std::shared_ptr<MatcherIndex> index(
-      new MatcherIndex(corpus, rule.Clone(), options));
-  const auto start = std::chrono::steady_clock::now();
-  index->Compile();
-  index->build_seconds_ = Elapsed(start);
-  return index;
+  // Infallible over a dataset-backed corpus (Compile's contract).
+  return Deploy(std::move(corpus), rule, options).value();
 }
 
 Result<std::shared_ptr<const MatcherIndex>> MatcherIndex::Build(
@@ -171,8 +197,14 @@ Result<std::shared_ptr<const MatcherIndex>> MatcherIndex::Build(
   auto shared = std::make_shared<Corpus>();
   shared->mapped = std::move(corpus);
   shared->pool = std::make_unique<ThreadPool>(options.num_threads);
+  return Deploy(std::move(shared), rule, options);
+}
+
+Result<std::shared_ptr<const MatcherIndex>> MatcherIndex::Deploy(
+    std::shared_ptr<Corpus> corpus, const LinkageRule& rule,
+    const MatchOptions& options) {
   std::shared_ptr<MatcherIndex> index(
-      new MatcherIndex(shared, rule.Clone(), options));
+      new MatcherIndex(std::move(corpus), rule.Clone(), options));
   const auto start = std::chrono::steady_clock::now();
   GENLINK_RETURN_IF_ERROR(index->Compile());
   index->build_seconds_ = Elapsed(start);
@@ -180,44 +212,66 @@ Result<std::shared_ptr<const MatcherIndex>> MatcherIndex::Build(
 }
 
 Status MatcherIndex::Compile() {
-  if (corpus_->mapped != nullptr) return CompileMapped();
   Corpus& corpus = *corpus_;
   MutexLock lock(corpus.mutex);
-  if (options_.use_blocking) {
-    std::vector<std::string> properties = TargetProperties(rule_);
-    auto& slot = corpus.blocking_cache[Corpus::BlockingKey(
-        properties, options_.blocking_max_tokens,
-        options_.blocking_min_token_df)];
-    if (slot == nullptr) {
-      TokenBlockingOptions blocking_options;
-      blocking_options.max_tokens_per_entity = options_.blocking_max_tokens;
-      blocking_options.min_token_df = options_.blocking_min_token_df;
-      slot = std::make_shared<const TokenBlockingIndex>(
-          *corpus.target, properties, blocking_options);
+  std::vector<PlanId> target_plans;
+  if (corpus.mapped != nullptr) {
+    GENLINK_RETURN_IF_ERROR(CompileMapped(target_plans));
+  } else {
+    if (options_.use_blocking) {
+      std::vector<std::string> properties = TargetProperties(rule_);
+      auto& slot = corpus.blocking_cache[Corpus::BlockingKey(
+          properties, options_.blocking_max_tokens,
+          options_.blocking_min_token_df)];
+      if (slot == nullptr) {
+        TokenBlockingOptions blocking_options;
+        blocking_options.max_tokens_per_entity = options_.blocking_max_tokens;
+        blocking_options.min_token_df = options_.blocking_min_token_df;
+        slot = std::make_shared<const TokenBlockingIndex>(
+            *corpus.target, properties, blocking_options);
+      }
+      blocking_ = slot;
     }
-    blocking_ = slot;
+
+    // A rule whose target value subtrees all have plans in the latest
+    // store reuses that store as is. Otherwise the missing plans
+    // compile into a fork of it, so a generation only pays for subtrees
+    // no earlier rule materialized, and no published store is ever
+    // written.
+    std::shared_ptr<const ValueStore> store = corpus.latest_store;
+    std::vector<const ValueOperator*> target_ops;
+    for (const RuleProgram::Site& site : program_.sites()) {
+      target_ops.push_back(site.op->target());
+      const std::optional<PlanId> plan =
+          store->FindPlan(ValueOperatorHash(*site.op->target()));
+      if (plan.has_value()) target_plans.push_back(*plan);
+    }
+    if (target_plans.size() < target_ops.size()) {
+      std::shared_ptr<ValueStore> fork = store->Fork();
+      target_plans.resize(target_ops.size());
+      fork->CompileBatch(ValueStore::Side::kTarget, target_ops, target_plans,
+                         corpus.pool.get());
+      store = std::move(fork);
+      corpus.latest_store = store;
+    }
+    store_ = std::move(store);
+    reader_ = store_.get();
   }
 
-  // Full-join scoring over store-resident pairs. A rule whose value
-  // subtrees all have plans in the latest store reuses that store as
-  // is. Otherwise the missing plans compile into a fork of it, so a
-  // generation only pays for subtrees no earlier rule materialized, and
-  // no published store is ever written.
-  std::shared_ptr<const ValueStore> store = corpus.latest_store;
-  compiled_ = CompiledRule::Resolve(rule_, *store);
-  if (compiled_ == nullptr) {
-    std::shared_ptr<ValueStore> fork = store->Fork();
-    compiled_ = std::make_unique<CompiledRule>(rule_, *fork, corpus.pool.get());
-    store = std::move(fork);
-    corpus.latest_store = store;
+  BindQuerySites(target_plans);
+  for (size_t k = 0; k < query_sites_.size(); ++k) {
+    if (!program_.sites()[k].op->measure()->IsSetMeasure()) continue;
+    const PlanId plan = query_sites_[k].target_plan;
+    std::shared_ptr<const Vocabulary>& vocabulary = corpus.vocabularies[plan];
+    if (vocabulary == nullptr) {
+      vocabulary = std::make_shared<const Vocabulary>(*reader_, plan);
+    }
+    query_sites_[k].vocabulary = vocabulary;
   }
-  store_ = std::move(store);
-  reader_ = store_.get();
-  BindQuerySites(compiled_->target_plans());
   return Status::Ok();
 }
 
-Status MatcherIndex::CompileMapped() {
+Status MatcherIndex::CompileMapped(std::vector<PlanId>& target_plans) {
   const MappedCorpus& mapped = *corpus_->mapped;
   // The artifact owns its blocking knobs: its postings were built with
   // them, so they are what this index serves and what options() reports.
@@ -250,12 +304,10 @@ Status MatcherIndex::CompileMapped() {
   // (rule/rule_hash.h) — the in-process ValueOperatorHash mixes
   // function-instance pointers and would never match a file written by
   // another process. A miss means the artifact predates this rule.
-  std::vector<PlanId> target_plans;
   target_plans.reserve(program_.sites().size());
   for (const RuleProgram::Site& site : program_.sites()) {
     const std::optional<PlanId> plan =
-        mapped.FindPlan(ValueReader::Side::kTarget,
-                        StableValueOperatorHash(*site.op->target()));
+        mapped.FindPlan(StableValueOperatorHash(*site.op->target()));
     if (!plan.has_value()) {
       return Status::FailedPrecondition(
           "corpus artifact '" + mapped.path() +
@@ -265,7 +317,6 @@ Status MatcherIndex::CompileMapped() {
     target_plans.push_back(*plan);
   }
   reader_ = &mapped;
-  BindQuerySites(target_plans);
   return Status::Ok();
 }
 
@@ -279,7 +330,7 @@ void MatcherIndex::BindQuerySites(std::span<const uint32_t> target_plans) {
     auto [it, inserted] = slot_by_hash.try_emplace(
         ValueOperatorHash(*source_op), static_cast<uint32_t>(query_ops_.size()));
     if (inserted) query_ops_.push_back(source_op);
-    query_sites_.push_back({it->second, target_plans[k]});
+    query_sites_.push_back({it->second, target_plans[k], nullptr});
   }
 }
 
@@ -306,12 +357,7 @@ Result<std::shared_ptr<const MatcherIndex>> MatcherIndex::TryWithRule(
     return Status::InvalidArgument(
         "TryWithRule: a mapped corpus cannot serve the empty rule");
   }
-  std::shared_ptr<MatcherIndex> next(
-      new MatcherIndex(corpus_, rule.Clone(), next_options));
-  const auto start = std::chrono::steady_clock::now();
-  GENLINK_RETURN_IF_ERROR(next->Compile());
-  next->build_seconds_ = Elapsed(start);
-  return std::shared_ptr<const MatcherIndex>(std::move(next));
+  return Deploy(corpus_, rule, next_options);
 }
 
 void MatcherIndex::EvaluateQueryOps(const Entity& entity, const Schema& schema,
@@ -320,35 +366,82 @@ void MatcherIndex::EvaluateQueryOps(const Entity& entity, const Schema& schema,
   out.views.resize(query_ops_.size());
   for (size_t i = 0; i < query_ops_.size(); ++i) {
     out.values[i] = query_ops_[i]->Evaluate(entity, schema);
-    out.views[i].clear();
-    out.views[i].reserve(out.values[i].size());
-    for (const std::string& value : out.values[i]) {
-      out.views[i].push_back(value);
+    out.views[i].assign(out.values[i].begin(), out.values[i].end());
+  }
+  // Set-measure sites: each distinct value once, as its vocabulary id
+  // or a fresh one, with its multiplicity; then ascending by id.
+  out.ids.resize(query_sites_.size());
+  out.counts.resize(query_sites_.size());
+  thread_local std::vector<std::string_view> sorted;
+  thread_local std::vector<std::pair<ValueId, uint32_t>> counted;
+  for (size_t k = 0; k < query_sites_.size(); ++k) {
+    if (query_sites_[k].vocabulary == nullptr) continue;
+    const Vocabulary& vocabulary = *query_sites_[k].vocabulary;
+    const std::vector<std::string_view>& views =
+        out.views[query_sites_[k].source_slot];
+    sorted.assign(views.begin(), views.end());
+    std::sort(sorted.begin(), sorted.end());
+    counted.clear();
+    ValueId fresh = vocabulary.fresh;
+    for (size_t i = 0; i < sorted.size();) {
+      size_t j = i + 1;
+      while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
+      const std::optional<ValueId> known = vocabulary.Find(*reader_, sorted[i]);
+      counted.emplace_back(known.has_value() ? *known : fresh++,
+                           static_cast<uint32_t>(j - i));
+      i = j;
+    }
+    std::sort(counted.begin(), counted.end());
+    out.ids[k].clear();
+    out.counts[k].clear();
+    for (const auto& [id, count] : counted) {
+      out.ids[k].push_back(id);
+      out.counts[k].push_back(count);
     }
   }
 }
 
 double MatcherIndex::QueryScore(const QueryValues& qv,
                                 size_t target_index) const {
+  return store_ != nullptr
+             ? QueryScoreWith(*store_, qv, target_index)
+             : QueryScoreWith(*corpus_->mapped, qv, target_index);
+}
+
+template <typename Reader>
+double MatcherIndex::QueryScoreWith(const Reader& reader,
+                                    const QueryValues& qv,
+                                    size_t target_index) const {
   return Score(program_, [&](size_t site, double threshold) {
     const QuerySite& query_site = query_sites_[site];
+    const PlanId plan = query_site.target_plan;
+    const DistanceMeasure& measure = *program_.sites()[site].op->measure();
+    // The empty-side convention of ValueStore::PairDistance: similarity
+    // 0. Both sides' ids are empty exactly when their values are.
+    if (query_site.vocabulary != nullptr) {
+      const std::vector<ValueId>& ids = qv.ids[site];
+      const std::span<const ValueId> target_ids =
+          reader.SortedIds(plan, target_index);
+      if (ids.empty() || target_ids.empty()) return kInfiniteDistance;
+      return measure.TokenIdDistance(ids, qv.counts[site], target_ids,
+                                     reader.SortedCounts(plan, target_index));
+    }
     const std::vector<std::string_view>& source_views =
         qv.views[query_site.source_slot];
-    const std::span<const ValueId> target_values = reader_->Values(
-        ValueReader::Side::kTarget, query_site.target_plan, target_index);
-    // PairDistance's empty-side convention: similarity 0.
+    const std::span<const ValueId> target_values =
+        reader.Values(plan, target_index);
     if (source_views.empty() || target_values.empty()) {
       return kInfiniteDistance;
     }
     thread_local std::vector<std::string_view> scratch;
     scratch.clear();
-    for (ValueId id : target_values) scratch.push_back(reader_->View(id));
-    // As in CompiledRule::Score, the comparison threshold doubles as the
-    // distance bound; DistanceViews is bit-identical to the
-    // TokenIdDistance path PairDistance takes for set measures
-    // (distance/distance_measure.h).
-    return program_.sites()[site].op->measure()->DistanceViews(
-        source_views, std::span<const std::string_view>(scratch), threshold);
+    for (ValueId id : target_values) scratch.push_back(reader.View(id));
+    // The comparison threshold doubles as the distance bound: every
+    // distance the score can distinguish (d <= θ) is exact, everything
+    // beyond maps to similarity 0 either way.
+    return measure.DistanceViews(source_views,
+                                 std::span<const std::string_view>(scratch),
+                                 threshold);
   });
 }
 
@@ -365,7 +458,7 @@ std::vector<GeneratedLink> MatcherIndex::MatchEntityMasked(
   // the serving-only branch.
   const bool skip_own_id =
       corpus_->source == nullptr || corpus_->source == corpus_->target;
-  QueryValues qv;
+  thread_local QueryValues qv;
   EvaluateQueryOps(entity, schema, qv);
 
   std::vector<GeneratedLink> links;
@@ -451,23 +544,19 @@ std::vector<GeneratedLink> MatcherIndex::MatchDataset(
   Mutex links_mutex;
   const bool self_join =
       corpus_->target != nullptr && &source == corpus_->target;
-  // Store-resident scoring needs the store's source-side plans, which
-  // only the bound source dataset has; any other dataset goes through
-  // the (bit-identical) query scorer.
-  const bool bound = &source == corpus_->source;
 
   corpus_->pool->ParallelFor(source.size(), [&](size_t i) {
     // The one-shot CLI's SIGINT path: a fired token skips the
     // remaining source entities and the partial links flush as-is.
     if (options_.cancel != nullptr && options_.cancel->Cancelled()) return;
     const Entity& ea = source.entity(i);
-    QueryValues qv;
-    if (!bound) EvaluateQueryOps(ea, source.schema(), qv);
+    thread_local QueryValues qv;
+    EvaluateQueryOps(ea, source.schema(), qv);
     std::vector<GeneratedLink> local;
     auto consider = [&](size_t j) {
       const std::string_view id_b = corpus_->target_id(j);
       if (self_join && ea.id() >= id_b) return;  // dedup: each pair once
-      const double score = bound ? compiled_->Score(i, j) : QueryScore(qv, j);
+      const double score = QueryScore(qv, j);
       if (score >= options_.threshold) {
         local.push_back({ea.id(), std::string(id_b), score});
       }
@@ -510,7 +599,7 @@ MatcherIndexStats MatcherIndex::stats() const {
     stats.value_plans = corpus_->mapped->num_plans();
     stats.store_bytes = corpus_->mapped->file_bytes();
   } else {
-    stats.value_plans = store_->stats().plans_compiled;
+    stats.value_plans = store_->NumPlans(ValueStore::Side::kTarget);
     stats.store_bytes = store_->ApproxBytes();
   }
   stats.build_seconds = build_seconds_;

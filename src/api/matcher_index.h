@@ -11,11 +11,12 @@
 //   auto index = MatcherIndex::Build(corpus, rule, options);  // expensive
 //   auto links = index->MatchEntity(incoming_record, schema); // cheap, often
 //
-// Build compiles the rule's value subtrees into a persistent value
-// store (eval/value_store.h: per-entity transform plans + interned
-// token-id spans) and constructs a persistent TokenBlockingIndex
-// (matcher/blocking.h); queries then pay only candidate lookup plus
-// interned-distance scoring. Three query surfaces:
+// Build compiles the rule's target-side value subtrees into a
+// persistent value store (eval/value_store.h: per-entity transform
+// plans + interned token-id spans) and constructs a persistent
+// TokenBlockingIndex (matcher/blocking.h); queries then pay only
+// candidate lookup plus interned-distance scoring. Three query
+// surfaces:
 //
 //   * MatchEntity  — one query entity against the indexed corpus; the
 //     request-serving path. No thread pool involved.
@@ -26,27 +27,30 @@
 //     GenerateLinks (which is now a thin wrapper over Build +
 //     MatchDataset; asserted by tests/api_test.cc).
 //
-// Scores from every surface are bit-identical to
-// LinkageRule::Evaluate on the same entity pair: every surface runs the
-// rule's one compiled program (rule/rule_program.h), the target side
-// reads interned value spans, the query side evaluates each distinct
-// source value subtree once per query, and both feed the same
-// DistanceMeasure surfaces (see distance/distance_measure.h for the
-// bit-identity contract; tests/rule_oracle_test.cc holds every surface
-// to the spec).
+// All three run one scorer. Each query (for MatchDataset: each source
+// entity) evaluates the rule's distinct source value subtrees once; a
+// set-measure site (jaccard, dice, cosine) then maps the query's values
+// to ids of its target plan's vocabulary — the plan's distinct value
+// ids sorted by their bytes, built once per plan and corpus — so every
+// pair scores through the rule's one compiled program
+// (rule/rule_program.h) on the target's interned spans: TokenIdDistance
+// for set measures, DistanceViews for per-value ones. Scores are
+// bit-identical to LinkageRule::Evaluate on the same entity pair (see
+// distance/distance_measure.h for the per-measure contract;
+// tests/rule_oracle_test.cc holds every surface to the spec).
 //
 // Lifetimes and hot swap: a MatcherIndex is immutable after Build and
 // safe to query from any number of threads; queries take no lock. The
 // dataset(s) passed to Build must outlive every index built over them.
 // Each generation owns an immutable value store. WithRule compiles a
 // NEW index for a freshly learned rule: when the newest store already
-// holds plans for all of the rule's value subtrees it is reused as is,
-// otherwise the missing plans compile into a fork that shares the
-// existing plans, pooled strings and blocking indexes — only the new
-// rule's unseen value subtrees are evaluated, the corpus is not
-// re-interned, and no store a query can read is ever written. Old and
-// new indexes serve concurrently, and a compile never delays a query;
-// a service hot-swaps by publishing the new shared_ptr:
+// holds plans for all of the rule's target value subtrees it is reused
+// as is, otherwise the missing plans compile into a fork that shares
+// the existing plans, pooled strings, vocabularies and blocking
+// indexes — only the new rule's unseen value subtrees are evaluated,
+// the corpus is not re-interned, and no store a query can read is ever
+// written. Old and new indexes serve concurrently, and a compile never
+// delays a query; a service hot-swaps by publishing the new shared_ptr:
 //
 //   std::shared_ptr<const MatcherIndex> serving = MatcherIndex::Build(...);
 //   ...
@@ -72,7 +76,6 @@
 
 namespace genlink {
 
-class CompiledRule;
 class MappedCorpus;
 class ValueReader;
 class ValueStore;
@@ -87,8 +90,9 @@ struct MatcherIndexStats {
   /// (token, entity) postings in the blocking index (0 when blocking is
   /// off).
   size_t blocking_postings = 0;
-  /// Transform plans in this generation's value store: its own rule's
-  /// plus those of every earlier rule compiled against this corpus.
+  /// Target-side transform plans in this generation's value store: its
+  /// own rule's plus those of every earlier rule compiled against this
+  /// corpus (for a mapped corpus: every plan of the artifact).
   size_t value_plans = 0;
   /// Approximate bytes held by this generation's value store (plans
   /// and pooled strings shared with other generations count in full).
@@ -103,9 +107,10 @@ struct MatcherIndexStats {
 class MatcherIndex {
  public:
   /// Compiles `rule` against a source/target dataset pair (the paper's
-  /// A and B; pass the same dataset twice for deduplication). All query
-  /// surfaces are available, and MatchDataset() replays the legacy full
-  /// join over the bound sides. Both datasets must outlive the index.
+  /// A and B; pass the same dataset twice for deduplication). Only the
+  /// target is indexed; the source is bound as MatchDataset()'s join
+  /// side and as the schema of the schema-less query overloads. Both
+  /// datasets must outlive the index.
   static std::shared_ptr<const MatcherIndex> Build(
       const Dataset& source, const Dataset& target, const LinkageRule& rule,
       const MatchOptions& options = {});
@@ -254,28 +259,45 @@ class MatcherIndex {
   /// cache (annotated in the .cc; docs/CONCURRENCY.md).
   struct Corpus;
 
+  /// The distinct value ids of one target plan, sorted by their bytes:
+  /// what a query value's id under that plan is looked up in.
+  struct Vocabulary;
+
   /// One site of program_ as seen by the query scorer: source side
   /// from the query entity's pre-evaluated values, target side from a
   /// plan of reader_.
   struct QuerySite {
     uint32_t source_slot = 0;  // into query_ops_
     uint32_t target_plan = 0;  // PlanId in reader_
+    /// A set-measure site's target vocabulary, which the query's values
+    /// are mapped into; null for a per-value measure.
+    std::shared_ptr<const Vocabulary> vocabulary;
   };
 
   MatcherIndex(std::shared_ptr<Corpus> corpus, LinkageRule rule,
                MatchOptions options);
 
+  /// Builds a dataset-backed corpus over `target` (and the optional
+  /// bound `source`) and deploys `rule` on it.
+  static std::shared_ptr<const MatcherIndex> BuildOverDataset(
+      const Dataset* source, const Dataset& target, const LinkageRule& rule,
+      const MatchOptions& options);
+  /// Compiles `rule` into a new generation over `corpus`, timed into
+  /// build_seconds (every Build and WithRule ends here).
+  static Result<std::shared_ptr<const MatcherIndex>> Deploy(
+      std::shared_ptr<Corpus> corpus, const LinkageRule& rule,
+      const MatchOptions& options);
+
   /// Compiles rule_ against the corpus (value store, blocking index,
-  /// query sites) before the index is shared. Never fails for a
-  /// dataset-backed corpus; for a mapped corpus it fails when the
+  /// query sites, vocabularies) before the index is shared. Never fails
+  /// for a dataset-backed corpus; for a mapped corpus it fails when the
   /// artifact lacks a needed value plan or the rule's blocking
   /// properties.
   Status Compile();
-  /// The mapped-corpus arm of Compile: resolves plans from the
-  /// artifact, borrows its blocking postings instead of building, and
-  /// adopts the knobs they were built with into options_. Reads only
-  /// the immutable mapping, so it takes no lock.
-  Status CompileMapped();
+  /// The mapped-corpus arm of Compile: resolves each site's target plan
+  /// from the artifact, borrows its blocking postings instead of
+  /// building, and adopts the knobs they were built with into options_.
+  Status CompileMapped(std::vector<uint32_t>& target_plans);
   /// Builds the query scorer's sites from each program site's target
   /// plan in reader_ (both compile arms end here).
   void BindQuerySites(std::span<const uint32_t> target_plans);
@@ -287,6 +309,11 @@ class MatcherIndex {
   /// program_'s score of (query, target_index), the query's source
   /// values read from `qv` and the target's from reader_.
   double QueryScore(const QueryValues& qv, size_t target_index) const;
+  /// QueryScore over reader_'s concrete type: both readers are final,
+  /// so the per-pair span reads compile to direct, inlinable calls.
+  template <typename Reader>
+  double QueryScoreWith(const Reader& reader, const QueryValues& qv,
+                        size_t target_index) const;
 
   std::shared_ptr<Corpus> corpus_;
   LinkageRule rule_;
@@ -304,9 +331,6 @@ class MatcherIndex {
   /// shared with later generations that need no new plan. Null for a
   /// mapped corpus.
   std::shared_ptr<const ValueStore> store_;
-  /// Compiled scoring for store-resident entity pairs (the full-join
-  /// path) over store_; null for a mapped corpus.
-  std::unique_ptr<CompiledRule> compiled_;
 
   /// Distinct source-side value subtrees of rule_ (deduplicated by
   /// ValueOperatorHash) and the query scorer's view of each program

@@ -5,10 +5,14 @@
 // they are dispatched through this pool (the paper notes tournament
 // selection was chosen partly because it is easy to parallelize).
 //
-// Thread-safety: Submit/ParallelFor/ParallelForEach may be called from
-// any thread, but one call at a time per pool (the engine and the
-// island model alternate breeding and evaluation on one thread). The
-// task queue and the shutdown flag are guarded by `mutex_` and
+// Thread-safety: ParallelFor and ParallelForEach may be called from any
+// number of threads at once on one pool — every serve worker's
+// MatchBatch and a WithRule compile share a corpus's pool. Each call
+// keeps its completion and error state on its own stack, so concurrent
+// calls only interleave their tasks in the shared queue
+// (tests/thread_pool_test.cc). A task must not call back into its own
+// pool: it would block a worker waiting for tasks queued behind it.
+// The task queue and the shutdown flag are guarded by `mutex_` and
 // annotated for clang -Wthread-safety (common/thread_annotations.h);
 // see docs/CONCURRENCY.md for the lock hierarchy.
 //

@@ -1,6 +1,7 @@
 #include "distance/distance_measure.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace genlink {
 
@@ -18,16 +19,7 @@ double DistanceMeasure::Distance(const ValueSet& a, const ValueSet& b) const {
 double DistanceMeasure::DistanceViews(std::span<const std::string_view> a,
                                       std::span<const std::string_view> b,
                                       double bound) const {
-  if (IsSetMeasure()) {
-    // Generic set measures only understand owning ValueSets; materialize
-    // copies. This is a hot path: MatcherIndex::QueryScore and the live
-    // delta scorer take it for every jaccard, dice and cosine site and
-    // copy both sides on every pair (the store path scores the same
-    // measures on interned token ids through TokenIdDistance).
-    ValueSet va(a.begin(), a.end());
-    ValueSet vb(b.begin(), b.end());
-    return Distance(va, vb);
-  }
+  assert(!IsSetMeasure() && "set measures score through TokenIdDistance");
   // Min-lift in the same pair order as the ValueSet overload. The
   // cutoff tightens to the best distance seen: a bounded kernel may
   // return any value > its bound for larger true distances, which can

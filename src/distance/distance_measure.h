@@ -6,16 +6,20 @@
 // properties are multi-valued). Token-based measures (Jaccard, Dice,
 // Cosine) compare the sets as a whole.
 //
-// Two call surfaces exist for every measure:
-//   * Distance(const ValueSet&, const ValueSet&) — owning strings; the
-//     reference path used by per-pair operator-tree evaluation.
-//   * DistanceViews(span<string_view>, span<string_view>) — non-owning
-//     views into the value store's interned pool (eval/value_store.h);
-//     the hot path. Set measures additionally accept pre-sorted
-//     interned token-id spans via TokenIdDistance.
+// Every measure has the reference surface
+//   * Distance(const ValueSet&, const ValueSet&) — owning strings; used
+//     by per-pair operator-tree evaluation and the live delta scorer's
+//     set-measure sites,
+// and one interned hot-path surface, chosen by IsSetMeasure():
+//   * per-value measures: DistanceViews(span<string_view>,
+//     span<string_view>) — non-owning views into an interned pool
+//     (eval/value_store.h);
+//   * set measures: TokenIdDistance over pre-sorted interned token-id
+//     spans with multiplicities. A set measure must implement it;
+//     DistanceViews serves per-value measures only.
 // Both surfaces MUST return bit-identical doubles for equal inputs; the
-// engine and matcher rely on it (tests/engine_test.cc,
-// tests/matcher_test.cc).
+// engine and every MatcherIndex surface rely on it
+// (tests/distance_kernels_test.cc, tests/rule_oracle_test.cc).
 
 #ifndef GENLINK_DISTANCE_DISTANCE_MEASURE_H_
 #define GENLINK_DISTANCE_DISTANCE_MEASURE_H_
@@ -47,13 +51,13 @@ class DistanceMeasure {
   /// implementation takes the minimum of ValueDistance over all pairs.
   virtual double Distance(const ValueSet& a, const ValueSet& b) const;
 
-  /// Same contract over non-owning views (the interned hot path).
-  /// `bound`: the caller only distinguishes distances <= bound; any
-  /// value > bound may stand in for a larger true distance (pass
-  /// kInfiniteDistance — the default — for the exact distance). The
-  /// base implementation min-lifts BoundedValueDistance with early exit
-  /// at 0, visiting pairs in the same order as the ValueSet overload;
-  /// set measures fall back to materializing ValueSets.
+  /// Same contract over non-owning views (the interned hot path of a
+  /// per-value measure; never called for a set measure). `bound`: the
+  /// caller only distinguishes distances <= bound; any value > bound
+  /// may stand in for a larger true distance (pass kInfiniteDistance —
+  /// the default — for the exact distance). The base implementation
+  /// min-lifts BoundedValueDistance with early exit at 0, visiting
+  /// pairs in the same order as the ValueSet overload.
   virtual double DistanceViews(std::span<const std::string_view> a,
                                std::span<const std::string_view> b,
                                double bound = kInfiniteDistance) const;
@@ -76,18 +80,15 @@ class DistanceMeasure {
   virtual double MaxThreshold() const = 0;
 
   /// True when Distance() compares the value sets as a whole rather than
-  /// lifting a per-value distance.
+  /// lifting a per-value distance. Such a measure must implement
+  /// TokenIdDistance.
   virtual bool IsSetMeasure() const { return false; }
-
-  /// True when TokenIdDistance is implemented: the measure can consume
-  /// the value store's sorted-unique interned token ids directly.
-  virtual bool SupportsTokenIds() const { return false; }
 
   /// Set distance over interned token ids. `ids_*` are strictly
   /// increasing; `counts_*[k]` is the multiplicity of `ids_*[k]` in the
-  /// original value set. Ids from the same pool, so id equality is
-  /// string equality. Only called when SupportsTokenIds() is true, with
-  /// both spans non-empty.
+  /// original value set. Id equality is string equality (one pool, or
+  /// query ids mapped into a target plan's vocabulary). Only called
+  /// for set measures, with both spans non-empty.
   virtual double TokenIdDistance(std::span<const uint32_t> ids_a,
                                  std::span<const uint32_t> counts_a,
                                  std::span<const uint32_t> ids_b,

@@ -17,7 +17,6 @@ class JaccardDistance : public DistanceMeasure {
   double Distance(const ValueSet& a, const ValueSet& b) const override;
   double MaxThreshold() const override { return 1.0; }
   bool IsSetMeasure() const override { return true; }
-  bool SupportsTokenIds() const override { return true; }
   double TokenIdDistance(std::span<const uint32_t> ids_a,
                          std::span<const uint32_t> counts_a,
                          std::span<const uint32_t> ids_b,
@@ -31,7 +30,6 @@ class DiceDistance : public DistanceMeasure {
   double Distance(const ValueSet& a, const ValueSet& b) const override;
   double MaxThreshold() const override { return 1.0; }
   bool IsSetMeasure() const override { return true; }
-  bool SupportsTokenIds() const override { return true; }
   double TokenIdDistance(std::span<const uint32_t> ids_a,
                          std::span<const uint32_t> counts_a,
                          std::span<const uint32_t> ids_b,
@@ -45,7 +43,6 @@ class CosineDistance : public DistanceMeasure {
   double Distance(const ValueSet& a, const ValueSet& b) const override;
   double MaxThreshold() const override { return 1.0; }
   bool IsSetMeasure() const override { return true; }
-  bool SupportsTokenIds() const override { return true; }
   double TokenIdDistance(std::span<const uint32_t> ids_a,
                          std::span<const uint32_t> counts_a,
                          std::span<const uint32_t> ids_b,

@@ -67,23 +67,11 @@ ValueStore::ValueStore(std::span<const Entity* const> source_entities,
   target_.schema = &target_schema;
 }
 
-namespace {
-std::vector<const Entity*> DatasetPointers(const Dataset& dataset) {
-  std::vector<const Entity*> pointers;
-  pointers.reserve(dataset.size());
-  for (const Entity& entity : dataset.entities()) pointers.push_back(&entity);
-  return pointers;
-}
-}  // namespace
-
-ValueStore::ValueStore(const Dataset& source, const Dataset& target) {
-  source_.entities = DatasetPointers(source);
-  source_.schema = &source.schema();
-  if (&source == &target) {
-    shared_sides_ = true;
-    return;
+ValueStore::ValueStore(const Dataset& target) {
+  target_.entities.reserve(target.size());
+  for (const Entity& entity : target.entities()) {
+    target_.entities.push_back(&entity);
   }
-  target_.entities = DatasetPointers(target);
   target_.schema = &target.schema();
 }
 
@@ -185,21 +173,6 @@ std::shared_ptr<const ValueStore::Plan> ValueStore::InternPlan(
   return compiled;
 }
 
-std::span<const ValueId> ValueStore::Values(Side side, PlanId plan_id,
-                                            size_t entity_index) const {
-  return plan(side, plan_id).Values(entity_index);
-}
-
-std::span<const ValueId> ValueStore::SortedIds(Side side, PlanId plan_id,
-                                               size_t entity_index) const {
-  return plan(side, plan_id).SortedIds(entity_index);
-}
-
-std::span<const uint32_t> ValueStore::SortedCounts(Side side, PlanId plan_id,
-                                                   size_t entity_index) const {
-  return plan(side, plan_id).SortedCounts(entity_index);
-}
-
 double ValueStore::PairDistance(const DistanceMeasure& measure,
                                 PlanId source_plan, size_t source_entity,
                                 PlanId target_plan, size_t target_entity,
@@ -212,7 +185,7 @@ double ValueStore::PairDistance(const DistanceMeasure& measure,
   // engine's empty-row convention: ThresholdedScore(inf, θ) == 0.
   if (va.empty() || vb.empty()) return kInfiniteDistance;
 
-  if (measure.SupportsTokenIds()) {
+  if (measure.IsSetMeasure()) {
     return measure.TokenIdDistance(a.SortedIds(source_entity),
                                    a.SortedCounts(source_entity),
                                    b.SortedIds(target_entity),
@@ -248,53 +221,6 @@ void ValueStore::Clear() {
     side->plans.clear();
     side->plan_by_hash.clear();
   }
-}
-
-// ----------------------------------------------------------- CompiledRule
-
-CompiledRule::CompiledRule(const LinkageRule& rule, ValueStore& store,
-                           ThreadPool* pool)
-    : program_(rule), store_(&store) {
-  if (program_.empty()) return;
-  std::vector<const ValueOperator*> source_ops, target_ops;
-  source_ops.reserve(program_.sites().size());
-  target_ops.reserve(program_.sites().size());
-  for (const RuleProgram::Site& site : program_.sites()) {
-    source_ops.push_back(site.op->source());
-    target_ops.push_back(site.op->target());
-  }
-  source_plans_.resize(source_ops.size());
-  target_plans_.resize(target_ops.size());
-  store.CompileBatch(ValueStore::Side::kSource, source_ops, source_plans_,
-                     pool);
-  store.CompileBatch(ValueStore::Side::kTarget, target_ops, target_plans_,
-                     pool);
-}
-
-std::unique_ptr<CompiledRule> CompiledRule::Resolve(const LinkageRule& rule,
-                                                    const ValueStore& store) {
-  std::unique_ptr<CompiledRule> compiled(new CompiledRule(rule, store));
-  for (const RuleProgram::Site& site : compiled->program_.sites()) {
-    const std::optional<PlanId> source = store.FindPlan(
-        ValueStore::Side::kSource, ValueOperatorHash(*site.op->source()));
-    const std::optional<PlanId> target = store.FindPlan(
-        ValueStore::Side::kTarget, ValueOperatorHash(*site.op->target()));
-    if (!source.has_value() || !target.has_value()) return nullptr;
-    compiled->source_plans_.push_back(*source);
-    compiled->target_plans_.push_back(*target);
-  }
-  return compiled;
-}
-
-double CompiledRule::Score(size_t source_entity, size_t target_entity) const {
-  return genlink::Score(program_, [&](size_t site, double threshold) {
-    // The threshold doubles as the distance bound: every distance the
-    // score can distinguish (d <= θ) is exact, everything beyond maps
-    // to similarity 0 either way.
-    return store_->PairDistance(*program_.sites()[site].op->measure(),
-                                source_plans_[site], source_entity,
-                                target_plans_[site], target_entity, threshold);
-  });
 }
 
 }  // namespace genlink

@@ -1,5 +1,6 @@
 // The value store: compiled per-entity transform plans behind the
-// evaluation engine's distance rows and the full-dataset matcher.
+// evaluation engine's distance rows and the target side of every
+// MatcherIndex (api/matcher_index.h).
 //
 // A *transform plan* is one value subtree of a linkage rule (a chain of
 // transformations over property operators), canonicalized by its
@@ -38,9 +39,9 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "distance/distance_measure.h"
 #include "model/dataset.h"
 #include "rule/linkage_rule.h"
-#include "rule/rule_program.h"
 
 namespace genlink {
 
@@ -91,48 +92,49 @@ class StringPool {
   std::unordered_map<std::string_view, ValueId> ids_; // keys view into blocks_
 };
 
-/// The read half of the value store: per-entity value spans, sorted
-/// token-id spans and pooled string views under compiled plans, with
-/// plan lookup by structural hash. This is the surface the query
-/// scorer (api/matcher_index.cc) consumes, abstracted so it can be
-/// served either by the in-memory ValueStore or by a zero-copy
-/// MappedCorpus over a v2 corpus artifact (io/corpus_artifact.h) —
-/// both sides of that split return bit-identical spans for the same
+/// The read half of a compiled target side: per-entity value spans,
+/// sorted token-id spans and pooled string views under compiled plans,
+/// with plan lookup by structural hash. This is the surface MatcherIndex's
+/// one scorer (api/matcher_index.cc) and its set-measure vocabularies
+/// consume, abstracted so it can be served either by the in-memory
+/// ValueStore or by a zero-copy MappedCorpus over a v2 corpus artifact
+/// (io/corpus_artifact.h) — both return bit-identical spans for the same
 /// logical corpus. Implementations are safe for concurrent reads.
 class ValueReader {
  public:
-  enum class Side { kSource, kTarget };
-
   virtual ~ValueReader() = default;
 
   /// Interned values of one entity under a plan, in evaluation order.
-  virtual std::span<const ValueId> Values(Side side, PlanId plan,
+  virtual std::span<const ValueId> Values(PlanId plan,
                                           size_t entity_index) const = 0;
   /// Strictly increasing distinct ids of the same values, with
   /// multiplicities (the token-set representation).
-  virtual std::span<const ValueId> SortedIds(Side side, PlanId plan,
+  virtual std::span<const ValueId> SortedIds(PlanId plan,
                                              size_t entity_index) const = 0;
-  virtual std::span<const uint32_t> SortedCounts(Side side, PlanId plan,
+  virtual std::span<const uint32_t> SortedCounts(PlanId plan,
                                                  size_t entity_index) const = 0;
 
   /// The pooled bytes of an interned value id.
   virtual std::string_view View(ValueId id) const = 0;
 
-  virtual size_t num_entities(Side side) const = 0;
+  virtual size_t num_entities() const = 0;
 
   /// The plan compiled for a value subtree with the given structural
   /// hash (rule/rule_hash.h ValueOperatorHash), or nullopt when no such
   /// subtree was compiled — for a mapped corpus: was not precomputed
   /// into the artifact.
-  virtual std::optional<PlanId> FindPlan(Side side, uint64_t hash) const = 0;
+  virtual std::optional<PlanId> FindPlan(uint64_t hash) const = 0;
 };
 
 /// Interned per-entity values of two entity sides (the paper's A and B)
-/// under compiled transform plans, sharing one string pool. `final`:
-/// the engine's hot paths call the span accessors through concrete
-/// references, which keeps them devirtualizable.
+/// under compiled transform plans, sharing one string pool. As a
+/// ValueReader it reads the target side. `final`: the hot paths call
+/// the span accessors through concrete references, which keeps them
+/// devirtualizable.
 class ValueStore final : public ValueReader {
  public:
+  enum class Side { kSource, kTarget };
+
   /// The entity pointers are copied; the entities and schemas must
   /// outlive the store.
   ValueStore(std::span<const Entity* const> source_entities,
@@ -140,11 +142,11 @@ class ValueStore final : public ValueReader {
              std::span<const Entity* const> target_entities,
              const Schema& target_schema);
 
-  /// Binds the sides to whole datasets: store entity index == dataset
-  /// entity index. When `source` and `target` are the same dataset
-  /// (deduplication), both sides share one plan store, so each value
-  /// subtree is evaluated and interned once, not once per side.
-  ValueStore(const Dataset& source, const Dataset& target);
+  /// The serving shape every MatcherIndex and the corpus artifact
+  /// writer build: `target`'s entities on the target side (store entity
+  /// index == dataset entity index), no source entities. `target` must
+  /// outlive the store.
+  explicit ValueStore(const Dataset& target);
 
   /// A new store holding everything this one holds: it shares the
   /// compiled plans and pooled string blocks (immutable once built) and
@@ -164,19 +166,24 @@ class ValueStore final : public ValueReader {
   void CompileBatch(Side side, std::span<const ValueOperator* const> ops,
                     std::span<PlanId> plans, ThreadPool* pool = nullptr);
 
-  std::span<const ValueId> Values(Side side, PlanId plan,
-                                  size_t entity_index) const override;
-  std::span<const ValueId> SortedIds(Side side, PlanId plan,
-                                     size_t entity_index) const override;
-  std::span<const uint32_t> SortedCounts(Side side, PlanId plan,
-                                         size_t entity_index) const override;
-
+  // ValueReader over the target side.
+  std::span<const ValueId> Values(PlanId plan_id,
+                                  size_t entity_index) const override {
+    return plan(Side::kTarget, plan_id).Values(entity_index);
+  }
+  std::span<const ValueId> SortedIds(PlanId plan_id,
+                                     size_t entity_index) const override {
+    return plan(Side::kTarget, plan_id).SortedIds(entity_index);
+  }
+  std::span<const uint32_t> SortedCounts(PlanId plan_id,
+                                         size_t entity_index) const override {
+    return plan(Side::kTarget, plan_id).SortedCounts(entity_index);
+  }
   std::string_view View(ValueId id) const override { return pool_.View(id); }
-
-  std::optional<PlanId> FindPlan(Side side, uint64_t hash) const override {
-    const auto& by_hash = side_of(side).plan_by_hash;
-    const auto it = by_hash.find(hash);
-    if (it == by_hash.end()) return std::nullopt;
+  size_t num_entities() const override { return target_.entities.size(); }
+  std::optional<PlanId> FindPlan(uint64_t hash) const override {
+    const auto it = target_.plan_by_hash.find(hash);
+    if (it == target_.plan_by_hash.end()) return std::nullopt;
     return it->second;
   }
 
@@ -190,9 +197,6 @@ class ValueStore final : public ValueReader {
                       size_t target_entity,
                       double bound = kInfiniteDistance) const;
 
-  size_t num_entities(Side side) const override {
-    return side_of(side).entities.size();
-  }
   /// Distinct interned strings (ids are [0, NumStrings()); the corpus
   /// artifact writer serializes the pool by id).
   size_t NumStrings() const { return pool_.size(); }
@@ -243,10 +247,10 @@ class ValueStore final : public ValueReader {
   ValueStore(const ValueStore&) = default;
 
   SideStore& side_of(Side side) {
-    return (side == Side::kSource || shared_sides_) ? source_ : target_;
+    return side == Side::kSource ? source_ : target_;
   }
   const SideStore& side_of(Side side) const {
-    return (side == Side::kSource || shared_sides_) ? source_ : target_;
+    return side == Side::kSource ? source_ : target_;
   }
   const Plan& plan(Side side, PlanId id) const {
     return *side_of(side).plans[id];
@@ -258,53 +262,7 @@ class ValueStore final : public ValueReader {
   StringPool pool_;
   SideStore source_;
   SideStore target_;
-  /// Both sides resolve to source_ (same-dataset deduplication).
-  bool shared_sides_ = false;
   ValueStoreStats stats_;
-};
-
-/// A linkage rule bound to a value store: the rule's program
-/// (rule/rule_program.h) with every comparison site's value subtrees
-/// compiled to plans, scoring a pair of store entity indexes without
-/// evaluating a single value operator. Scores are bit-identical to
-/// LinkageRule::Evaluate on the same entities (comparisons run with
-/// their threshold as the distance bound, which cannot change any
-/// ThresholdedScore). Used by the matcher's full-dataset path and, for
-/// its plan registration order, by the corpus artifact writer.
-class CompiledRule {
- public:
-  /// Compiles `rule`'s value subtrees into `store` (serial; `pool`
-  /// parallelizes raw plan evaluation): every site's source subtree,
-  /// then every site's target subtree, in site order. That order fixes
-  /// the store's ValueIds, which the corpus artifact writer and the
-  /// serving build share through it. `rule` and `store` must outlive
-  /// this object.
-  CompiledRule(const LinkageRule& rule, ValueStore& store,
-               ThreadPool* pool = nullptr);
-
-  /// Binds `rule` to plans `store` already holds, found with FindPlan:
-  /// the same plans the compiling constructor would return, but `store`
-  /// is only read (not even a hit counter moves), so it may be serving
-  /// other threads meanwhile. Null when some value subtree of `rule`
-  /// has no plan in `store`.
-  static std::unique_ptr<CompiledRule> Resolve(const LinkageRule& rule,
-                                               const ValueStore& store);
-
-  /// Target-side plan of each program site, in site order.
-  const std::vector<PlanId>& target_plans() const { return target_plans_; }
-
-  /// Similarity in [0,1] of (source_entity, target_entity); 0 for the
-  /// empty rule. Thread-safe (read-only over the store).
-  double Score(size_t source_entity, size_t target_entity) const;
-
- private:
-  CompiledRule(const LinkageRule& rule, const ValueStore& store)
-      : program_(rule), store_(&store) {}
-
-  RuleProgram program_;
-  const ValueStore* store_ = nullptr;
-  std::vector<PlanId> source_plans_;  // per program site
-  std::vector<PlanId> target_plans_;  // per program site
 };
 
 }  // namespace genlink

@@ -11,6 +11,7 @@
 #include "common/hash.h"
 #include "io/atomic_write.h"
 #include "rule/rule_hash.h"
+#include "rule/rule_program.h"
 
 namespace genlink {
 namespace {
@@ -209,38 +210,31 @@ Status WriteCorpusArtifact(const std::string& path, const Dataset& target,
         "corpus artifact: cannot index an empty rule (no value plans)");
   }
 
-  // Serving-shape value store, exactly as MatcherIndex::Build(target,
-  // rule, options) constructs it: empty source side, CompiledRule
-  // registration order. This fixes every ValueId and every interning
-  // order to those of a fresh serving build — the root of the
-  // bit-identity guarantee (including accumulation order inside
-  // measures like cosine).
-  std::vector<const Entity*> target_pointers;
-  target_pointers.reserve(target.size());
-  for (const Entity& entity : target.entities()) {
-    target_pointers.push_back(&entity);
+  // Serving-shape value store, exactly as MatcherIndex::Build
+  // constructs it: the target side only, its plans registered in
+  // program site order. This fixes every ValueId and every interning
+  // order to those of a fresh build — the root of the bit-identity
+  // guarantee.
+  ValueStore store(target);
+  const RuleProgram program(rule);
+  std::vector<const ValueOperator*> target_ops;
+  for (const RuleProgram::Site& site : program.sites()) {
+    target_ops.push_back(site.op->target());
   }
-  ValueStore store(std::span<const Entity* const>{}, target.schema(),
-                   std::span<const Entity* const>(target_pointers),
-                   target.schema());
-  CompiledRule compiled(rule, store, pool);
+  std::vector<PlanId> target_plans(target_ops.size());
+  store.CompileBatch(ValueStore::Side::kTarget, target_ops, target_plans, pool);
 
   const uint64_t n = target.size();
   const uint64_t num_plans = store.NumPlans(ValueStore::Side::kTarget);
 
-  // Plan directory hashes, recovered from the rule's target subtrees
-  // (every plan was registered by at least one of them). The store is
-  // keyed by the in-process ValueOperatorHash; the file stores the
-  // cross-process-stable hash — the one a later `--index` consumer can
-  // recompute from a freshly parsed rule.
+  // Plan directory hashes, one per plan from the subtree that
+  // registered it. The store is keyed by the in-process
+  // ValueOperatorHash; the file stores the cross-process-stable hash —
+  // the one a later `--index` consumer can recompute from a freshly
+  // parsed rule.
   std::vector<uint64_t> plan_hash(num_plans, 0);
-  RuleHashInfo info = AnalyzeRule(rule);
-  for (const ComparisonSite& site : info.comparisons) {
-    const uint64_t live = ValueOperatorHash(*site.op->target());
-    const auto plan = store.FindPlan(ValueStore::Side::kTarget, live);
-    if (plan.has_value()) {
-      plan_hash[*plan] = StableValueOperatorHash(*site.op->target());
-    }
+  for (size_t k = 0; k < target_ops.size(); ++k) {
+    plan_hash[target_plans[k]] = StableValueOperatorHash(*target_ops[k]);
   }
 
   // String table: the store pool verbatim (ids [0, NumStrings()) must
@@ -331,14 +325,11 @@ Status WriteCorpusArtifact(const std::string& path, const Dataset& target,
     plan_offsets[base] = 0;
     plan_sorted_offsets[base] = 0;
     for (uint64_t e = 0; e < n; ++e) {
-      const auto values =
-          store.Values(ValueStore::Side::kTarget, static_cast<PlanId>(p), e);
+      const auto values = store.Values(static_cast<PlanId>(p), e);
       plan_values.insert(plan_values.end(), values.begin(), values.end());
       const uint64_t value_count = plan_values.size() - dir[p].values_begin;
-      const auto sorted =
-          store.SortedIds(ValueStore::Side::kTarget, static_cast<PlanId>(p), e);
-      const auto counts = store.SortedCounts(ValueStore::Side::kTarget,
-                                             static_cast<PlanId>(p), e);
+      const auto sorted = store.SortedIds(static_cast<PlanId>(p), e);
+      const auto counts = store.SortedCounts(static_cast<PlanId>(p), e);
       plan_sorted_ids.insert(plan_sorted_ids.end(), sorted.begin(),
                              sorted.end());
       plan_sorted_counts.insert(plan_sorted_counts.end(), counts.begin(),
@@ -475,35 +466,7 @@ MappedCorpus::~MappedCorpus() = default;
 
 const BlockingIndex* MappedCorpus::blocking() const { return blocking_.get(); }
 
-std::span<const ValueId> MappedCorpus::Values(Side side, PlanId plan,
-                                              size_t entity_index) const {
-  if (side != Side::kTarget) return {};
-  const uint32_t* offsets = plan_offsets_ + plan * (num_entities_ + 1);
-  return std::span<const ValueId>(
-      plan_values_ + plans_[plan].values_begin + offsets[entity_index],
-      offsets[entity_index + 1] - offsets[entity_index]);
-}
-
-std::span<const ValueId> MappedCorpus::SortedIds(Side side, PlanId plan,
-                                                 size_t entity_index) const {
-  if (side != Side::kTarget) return {};
-  const uint32_t* offsets = plan_sorted_offsets_ + plan * (num_entities_ + 1);
-  return std::span<const ValueId>(
-      plan_sorted_ids_ + plans_[plan].sorted_begin + offsets[entity_index],
-      offsets[entity_index + 1] - offsets[entity_index]);
-}
-
-std::span<const uint32_t> MappedCorpus::SortedCounts(Side side, PlanId plan,
-                                                     size_t entity_index) const {
-  if (side != Side::kTarget) return {};
-  const uint32_t* offsets = plan_sorted_offsets_ + plan * (num_entities_ + 1);
-  return std::span<const uint32_t>(
-      plan_sorted_counts_ + plans_[plan].sorted_begin + offsets[entity_index],
-      offsets[entity_index + 1] - offsets[entity_index]);
-}
-
-std::optional<PlanId> MappedCorpus::FindPlan(Side side, uint64_t hash) const {
-  if (side != Side::kTarget) return std::nullopt;
+std::optional<PlanId> MappedCorpus::FindPlan(uint64_t hash) const {
   // Plan counts are small (one per distinct value subtree of a rule);
   // a linear scan beats any index.
   for (uint64_t p = 0; p < num_plans_; ++p) {

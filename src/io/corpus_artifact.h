@@ -37,10 +37,9 @@
 // any rule whose target-side value subtrees were precomputed —
 // MatcherIndex resolves plans via ValueReader::FindPlan and fails with
 // a named error (re-run `genlink index`) on a miss. Value ids, spans
-// and interning order are exactly those of a fresh serving-only
-// ValueStore build, which is what makes mapped query results
-// bit-identical to a fresh MatcherIndex::Build (including the
-// summation order of accumulating measures like cosine).
+// and interning order are exactly those of the value store a fresh
+// MatcherIndex::Build compiles, which is what makes mapped query
+// results bit-identical to a fresh build.
 //
 // Versioning: the magic pins the family, `version` the layout; readers
 // reject any version they do not know (and name a byte-swapped
@@ -112,9 +111,8 @@ struct MappedCorpusOptions {
 class MappedBlockingIndex;
 
 /// A zero-copy view of a v2 corpus artifact: implements the value-store
-/// read interface (ValueReader, target side; the source side is empty,
-/// exactly like a serving-only build) and exposes the mapped blocking
-/// postings as a BlockingIndex. Immutable and safe for concurrent
+/// read interface (ValueReader: the artifact is a compiled target side)
+/// and exposes the mapped blocking postings as a BlockingIndex. Immutable and safe for concurrent
 /// reads; all spans point into the mapping and live as long as the
 /// corpus. Create via Load().
 class MappedCorpus final : public ValueReader {
@@ -127,21 +125,32 @@ class MappedCorpus final : public ValueReader {
 
   ~MappedCorpus() override;
 
-  // ValueReader. Side::kSource has no entities and no plans.
-  std::span<const ValueId> Values(Side side, PlanId plan,
-                                  size_t entity_index) const override;
-  std::span<const ValueId> SortedIds(Side side, PlanId plan,
-                                     size_t entity_index) const override;
-  std::span<const uint32_t> SortedCounts(Side side, PlanId plan,
-                                         size_t entity_index) const override;
+  // ValueReader.
+  std::span<const ValueId> Values(PlanId plan,
+                                  size_t entity_index) const override {
+    const uint32_t* offsets = plan_offsets_ + plan * (num_entities_ + 1);
+    return {plan_values_ + plans_[plan].values_begin + offsets[entity_index],
+            offsets[entity_index + 1] - offsets[entity_index]};
+  }
+  std::span<const ValueId> SortedIds(PlanId plan,
+                                     size_t entity_index) const override {
+    const uint32_t* offsets = plan_sorted_offsets_ + plan * (num_entities_ + 1);
+    return {plan_sorted_ids_ + plans_[plan].sorted_begin + offsets[entity_index],
+            offsets[entity_index + 1] - offsets[entity_index]};
+  }
+  std::span<const uint32_t> SortedCounts(PlanId plan,
+                                         size_t entity_index) const override {
+    const uint32_t* offsets = plan_sorted_offsets_ + plan * (num_entities_ + 1);
+    return {
+        plan_sorted_counts_ + plans_[plan].sorted_begin + offsets[entity_index],
+        offsets[entity_index + 1] - offsets[entity_index]};
+  }
   std::string_view View(ValueId id) const override {
     return std::string_view(string_blob_ + string_offsets_[id],
                             string_offsets_[id + 1] - string_offsets_[id]);
   }
-  size_t num_entities(Side side) const override {
-    return side == Side::kTarget ? num_entities_ : 0;
-  }
-  std::optional<PlanId> FindPlan(Side side, uint64_t hash) const override;
+  size_t num_entities() const override { return num_entities_; }
+  std::optional<PlanId> FindPlan(uint64_t hash) const override;
 
   /// Entities in the corpus.
   size_t size() const { return num_entities_; }

@@ -35,9 +35,10 @@ namespace genlink {
 struct DeltaEntry {
   Entity entity;
   /// site_values[k] = program site k's target subtree evaluated
-  /// on `entity`; scoring feeds these to DistanceViews exactly as the
-  /// base index feeds interned store spans, which is what keeps delta
-  /// scores bit-identical to a fresh build.
+  /// on `entity`. Scoring hands a set-measure site's values to the
+  /// measure's reference Distance and a per-value site's to
+  /// DistanceViews as the base index hands it interned store spans,
+  /// which is what keeps delta scores bit-identical to a fresh build.
   std::vector<ValueSet> site_values;
   /// Unweighted blocking keys (matcher/blocking.h EntityBlockingKeys);
   /// empty when blocking is off.

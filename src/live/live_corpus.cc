@@ -11,8 +11,6 @@
 #include "matcher/blocking.h"
 #include "rule/operators.h"
 #include "rule/rule_program.h"
-#include "text/case_fold.h"
-#include "text/tokenizer.h"
 
 namespace genlink {
 namespace {
@@ -499,32 +497,24 @@ std::vector<GeneratedLink> LiveCorpus::MatchOne(const Snapshot& snap,
     query_views[k].assign(query_values[k].begin(), query_values[k].end());
   }
 
-  // Candidates: probe the delta postings with the tokens of every
-  // property of the query (the ProbeCandidates contract — the query
-  // schema generally differs from the indexed one), or scan every live
-  // entry when blocking is off. Sorted-unique so enumeration order can
-  // never reach the output.
-  std::vector<uint32_t> candidates;
-  if (snap.postings != nullptr) {
-    for (PropertyId p = 0; p < schema.NumProperties(); ++p) {
-      for (const auto& value : entity.Values(p)) {
-        for (auto& token : TokenizeAlnum(ToLowerAscii(value))) {
-          const auto it = snap.postings->find(token);
-          if (it == snap.postings->end()) continue;
-          candidates.insert(candidates.end(), it->second.begin(),
-                            it->second.end());
-        }
-      }
-    }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-  } else {
-    candidates = *snap.delta_live;
-  }
+  // Candidates: the delta postings through the probe loop every
+  // blocking index shares (matcher/blocking.h), or every live entry
+  // when blocking is off. Ascending either way, so enumeration order
+  // can never reach the output.
+  const std::vector<size_t> candidates =
+      snap.postings != nullptr
+          ? ProbeCandidates(
+                entity, schema, snap.delta.count,
+                [&](const std::string& token) -> std::span<const uint32_t> {
+                  const auto it = snap.postings->find(token);
+                  if (it == snap.postings->end()) return {};
+                  return it->second;
+                })
+          : std::vector<size_t>(snap.delta_live->begin(),
+                                snap.delta_live->end());
 
   size_t scanned = 0;
-  for (uint32_t slot : candidates) {
+  for (size_t slot : candidates) {
     if (cancel != nullptr && (++scanned & 63) == 0 && cancel->Cancelled()) {
       break;
     }
@@ -533,18 +523,24 @@ std::vector<GeneratedLink> LiveCorpus::MatchOne(const Snapshot& snap,
     // its own duplicate.
     if (entry.entity.id() == entity.id()) continue;
     // The target side reads the entry's pre-evaluated site values
-    // instead of interned store spans — same bytes, same multiset
-    // order, same DistanceViews call with the threshold as bound, same
-    // empty-side convention — so delta scores are bit-identical to a
+    // instead of interned store spans, with the base scorer's empty-side
+    // convention: a set measure gets both value sets as they are (its
+    // reference Distance counts the same integers TokenIdDistance
+    // does), a per-value measure the same views in the same order with
+    // the threshold as bound — so delta scores are bit-identical to a
     // fresh build's for the same pair.
     const double score = Score(program, [&](size_t site, double threshold) {
       const ValueSet& target = entry.site_values[site];
-      if (query_views[site].empty() || target.empty()) {
+      if (query_values[site].empty() || target.empty()) {
         return kInfiniteDistance;
+      }
+      const DistanceMeasure& measure = *sites[site].op->measure();
+      if (measure.IsSetMeasure()) {
+        return measure.Distance(query_values[site], target);
       }
       thread_local std::vector<std::string_view> target_views;
       target_views.assign(target.begin(), target.end());
-      return sites[site].op->measure()->DistanceViews(
+      return measure.DistanceViews(
           query_views[site], std::span<const std::string_view>(target_views),
           threshold);
     });

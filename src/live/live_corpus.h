@@ -28,9 +28,12 @@
 // MatcherIndex::Build over the logical corpus, at any thread count.
 // Two ingredients make that hold:
 //
-//   * per-pair scores are corpus-independent: delta entities are scored
-//     by the same DistanceViews walk the query scorer uses, over the
-//     same value multisets in the same evaluation order;
+//   * per-pair scores are corpus-independent: a delta entity's set-
+//     measure sites are scored by the measure's reference Distance over
+//     the same value multisets (the same integers the base scorer's
+//     TokenIdDistance counts), its per-value sites by the same
+//     DistanceViews walk the base scorer uses, in the same evaluation
+//     order;
 //   * candidate sets are corpus-independent ONLY for the df-independent
 //     blocking configuration (index every token: blocking_max_tokens
 //     == 0, blocking_min_token_df <= 1). Weighted key selection ranks

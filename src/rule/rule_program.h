@@ -4,9 +4,8 @@
 // LinkageRule::Evaluate walks the operator tree per pair and stays the
 // executable spec of Definitions 7 and 8. Every compiled scoring surface
 // runs this program instead — the evaluation engine over cached
-// distance rows, CompiledRule over a value store, MatcherIndex over a
-// query's values against its ValueReader, LiveCorpus over a delta
-// entry's site values. They differ only in where a comparison's raw
+// distance rows, MatcherIndex over a query's values against its
+// ValueReader, LiveCorpus over a delta entry's site values. They differ only in where a comparison's raw
 // distance comes from, so that is the one thing each supplies:
 //
 //   RuleProgram program(rule);  // once per rule

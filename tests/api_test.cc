@@ -287,8 +287,8 @@ TEST(MatcherIndexTest, WithRuleHotSwapEquivalence) {
   ExpectSameLinks(index->MatchDataset(), expected_first, "old generation");
 
   // Only the unseen subtree (phone) was materialized: one more plan,
-  // not a full recompile (the shared-sides store holds one plan per
-  // distinct subtree).
+  // not a full recompile (the store holds one plan per distinct
+  // target-side subtree).
   const size_t plans_after = swapped->stats().value_plans;
   EXPECT_EQ(plans_after, plans_before + 1);
 

@@ -32,6 +32,8 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "api/matcher_index.h"
@@ -374,6 +376,105 @@ void ExpectQueriesMatchSpec(const Surface& surface, const LinkageRule& rule,
 }
 
 // ---------------------------------------------------------------------------
+// Query-side token ids where generated data is thin. A set-measure query
+// value its target plan lacks takes a fresh id, so it counts in the
+// union and never intersects. The cases: values absent from the
+// corpus, values whose bytes the string table holds only as another
+// plan's value or (mapped) as an entity id, values repeated within one
+// set (cosine counts), the empty string, and empty sets.
+
+Dataset TokenCorpus() {
+  Dataset corpus("token-corpus");
+  const PropertyId tokens = corpus.schema().AddProperty("tokens");
+  const PropertyId words = corpus.schema().AddProperty("words");
+  const std::vector<std::tuple<std::string, ValueSet, ValueSet>> rows = {
+      {"t1", {"alpha", "beta", "alpha"}, {"gamma", "delta"}},
+      {"t2", {"beta", ""}, {"alpha", "gamma", "gamma"}},
+      {"t3", {"delta"}, {}},
+      {"t4", {}, {"beta", "beta"}},
+  };
+  for (const auto& [id, token_values, word_values] : rows) {
+    Entity entity(id);
+    entity.SetValues(tokens, token_values);
+    entity.SetValues(words, word_values);
+    EXPECT_TRUE(corpus.AddEntity(std::move(entity)).ok());
+  }
+  return corpus;
+}
+
+Dataset TokenQueries() {
+  Dataset queries("token-queries");
+  const PropertyId tokens = queries.schema().AddProperty("tokens");
+  const std::vector<std::pair<std::string, ValueSet>> rows = {
+      // "gamma" is only a `words` value, "t2" only an entity id.
+      {"q1", {"alpha", "alpha", "gamma", "t2", "", "absent"}},
+      {"q2", {"", "", "beta"}},
+      {"q3", {"absent", "missing", "absent", "t3"}},
+      {"q4", {"delta", "gamma", "gamma"}},
+      {"q5", {}},
+  };
+  for (const auto& [id, token_values] : rows) {
+    Entity entity(id);
+    entity.SetValues(tokens, token_values);
+    EXPECT_TRUE(queries.AddEntity(std::move(entity)).ok());
+  }
+  return queries;
+}
+
+// Every set measure against both target plans; dice and the first
+// cosine read the same source values against the same target plan.
+LinkageRule TokenRule() {
+  const std::tuple<const char*, const char*, double> sites[] = {
+      {"jaccard", "tokens", 1.0},
+      {"dice", "words", 0.9},
+      {"cosine", "words", 1.0},
+      {"cosine", "tokens", 0.8}};
+  std::vector<std::unique_ptr<SimilarityOperator>> ops;
+  for (const auto& [measure, target, threshold] : sites) {
+    auto cmp = std::make_unique<ComparisonOperator>(
+        Value("tokens", {}), Value(target, {}),
+        DistanceRegistry::Default().Find(measure), threshold);
+    cmp->set_weight(1.0 + static_cast<double>(ops.size()));
+    ops.push_back(std::move(cmp));
+  }
+  return LinkageRule(Aggregation("wmean", std::move(ops), 1.0));
+}
+
+TEST(RuleOracleTest, QueryTokenIdsMatchSpecWhereTheCorpusIsThin) {
+  const Dataset corpus = TokenCorpus();
+  const Dataset queries = TokenQueries();
+  const LinkageRule rule = TokenRule();
+  ASSERT_TRUE(rule.Validate().ok()) << rule.Validate().ToString();
+  const MatchOptions options = Options(1, /*blocking=*/false);
+  const std::string path = TestTempPath("tokens.glidx");
+  ASSERT_TRUE(WriteCorpusArtifact(path, corpus, rule, options).ok());
+  auto mapped = MappedCorpus::Load(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  auto mapped_index =
+      MatcherIndex::Build(std::move(mapped).value(), rule, options);
+  ASSERT_TRUE(mapped_index.ok()) << mapped_index.status().ToString();
+  const auto dataset_index = MatcherIndex::Build(corpus, rule, options);
+
+  size_t partial_scores = 0;
+  for (const Entity& query : queries.entities()) {
+    const std::vector<GeneratedLink> want =
+        SpecQuery(rule, query, queries.schema(), corpus, nullptr);
+    ASSERT_EQ(want.size(), corpus.size()) << query.id();
+    for (const GeneratedLink& link : want) {
+      partial_scores += link.score > 0.0 && link.score < 1.0 ? 1 : 0;
+    }
+    ExpectSameLinks(dataset_index->MatchEntity(query, queries.schema()), want,
+                    "dataset " + query.id());
+    ExpectSameLinks((*mapped_index)->MatchEntity(query, queries.schema()),
+                    want, "mapped " + query.id());
+  }
+  // The fixture is not vacuous: under the spec, 8 of its 20 pairs score
+  // strictly inside (0, 1). q3's values all take fresh ids, so its
+  // pairs score 0 only if no fresh id meets a target id.
+  EXPECT_EQ(partial_scores, 8u);
+}
+
+// ---------------------------------------------------------------------------
 
 TEST(RuleOracleTest, EngineMatchesFitnessEvaluator) {
   // Every A x B pair, labelled by the reference links: the reference
@@ -443,10 +544,10 @@ TEST(RuleOracleTest, MatchDatasetMatchesSpec) {
       for (size_t threads : {1, 4}) {
         const MatchOptions options = Options(threads, blocking);
         const std::string label = Label(k, threads, blocking);
-        // Bound source: store-resident pairs on both sides.
+        // The bound source, and any other dataset, go through the one
+        // query scorer.
         auto bound = MatcherIndex::Build(task.a, task.b, rule, options);
         ExpectSameLinks(bound->MatchDataset(), join, label + " bound");
-        // Unbound source: the per-query scorer.
         auto serving = MatcherIndex::Build(task.b, rule, options);
         ExpectSameLinks(serving->MatchDataset(task.a), join,
                         label + " unbound");

@@ -1,9 +1,10 @@
 // Edge cases of the worker pool (common/thread_pool.h): empty ranges,
 // the deterministic exception contract (every index runs, the smallest
 // failing index's exception is rethrown, identical for any thread
-// count), oversubscribed ParallelForEach, and pool reuse after a batch
-// that threw. The happy paths are exercised constantly by the engine
-// and island tests; these are the paths only error handling reaches.
+// count), oversubscribed ParallelForEach, pool reuse after a batch
+// that threw, and several threads calling into one pool at once. The
+// happy paths are exercised constantly by the engine and island tests;
+// these are the paths only error handling and serving reach.
 
 #include "common/thread_pool.h"
 
@@ -13,6 +14,7 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace genlink {
@@ -164,6 +166,40 @@ TEST(ThreadPoolTest, BackToBackCallsDoNotTouchFinishedCallState) {
     pool.ParallelForEach(3, [&](size_t) { calls.fetch_add(1); });
   }
   EXPECT_EQ(calls.load(), 2000u * 11u);
+}
+
+// Concurrent callers on one pool, the serving shape (every serve
+// worker's MatchBatch and a WithRule compile share a corpus's pool):
+// each caller's calls must run each of its own indices exactly once,
+// however the calls' tasks interleave in the shared queue. The TSan
+// leg checks that the per-call state stays private.
+TEST(ThreadPoolTest, ConcurrentCallersShareOnePool) {
+  ThreadPool pool(2);
+  constexpr size_t kCallers = 4;
+  constexpr int kRounds = 100;
+  std::vector<int> failures(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &failures, c] {
+      auto check = [&](const std::vector<std::atomic<int>>& hits) {
+        for (const std::atomic<int>& hit : hits) {
+          if (hit.load() != 1) ++failures[c];
+        }
+      };
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<std::atomic<int>> for_hits(64);
+        pool.ParallelFor(64, [&](size_t i) { for_hits[i].fetch_add(1); });
+        check(for_hits);
+        std::vector<std::atomic<int>> each_hits(8);
+        pool.ParallelForEach(8, [&](size_t i) { each_hits[i].fetch_add(1); });
+        check(each_hits);
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (size_t c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(failures[c], 0) << "caller " << c;
+  }
 }
 
 TEST(ThreadPoolTest, ZeroRequestedThreadsFallsBackToHardware) {

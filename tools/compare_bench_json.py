@@ -1,10 +1,17 @@
 #!/usr/bin/env python3
 """Bench regression checker over BENCH_*.json records.
 
-Compares the per-bench throughput metric of freshly produced bench JSON
-files against checked-in baselines (bench/baselines/BENCH_<name>.json)
-and fails when a bench drops below --min-ratio (default 0.75, i.e. a
->25% regression) of its baseline value.
+Compares one metric of freshly produced bench JSON files against
+checked-in baselines (bench/baselines/BENCH_<name>.json) and fails when
+a bench falls below --min-ratio (default 0.75, i.e. a >25% regression)
+of its baseline value.
+
+The direction comes from the metric name. Latency-style metrics are
+lower-is-better: names ending in _seconds, _ms, _us, cpu_time or
+real_time, and names starting with slowdown. They are compared as
+baseline/current. Every other metric (throughput, speedups, recall and
+the 0/1 gate flags such as p99_within_deadline) is higher-is-better and
+compared as current/baseline.
 
 Understands both JSON shapes the repo emits:
   * Google Benchmark output (micro benches): {"benchmarks": [{"name":
@@ -34,6 +41,14 @@ import argparse
 import json
 import os
 import sys
+
+LOWER_IS_BETTER_SUFFIXES = ("_seconds", "_ms", "_us", "cpu_time", "real_time")
+
+
+def lower_is_better(metric):
+    """True for latency-style metrics (see the module docstring)."""
+    return (metric.endswith(LOWER_IS_BETTER_SUFFIXES)
+            or metric.startswith("slowdown"))
 
 
 def extract_metrics(doc, metric):
@@ -72,6 +87,8 @@ def main():
     parser.add_argument("--min-ratio", type=float, default=0.75,
                         help="fail when current/baseline falls below this")
     args = parser.parse_args()
+    lower = lower_is_better(args.metric)
+    direction = "lower is better" if lower else "higher is better"
 
     failures = 0
     compared = 0
@@ -90,8 +107,9 @@ def main():
             failures += 1
             continue
 
-        print("== %s (metric: %s, min ratio %.2f)"
-              % (os.path.basename(current_path), args.metric, args.min_ratio))
+        print("== %s (metric: %s, %s, min ratio %.2f)"
+              % (os.path.basename(current_path), args.metric, direction,
+                 args.min_ratio))
         file_compared = 0
         for key in sorted(baseline):
             if key not in current:
@@ -100,7 +118,10 @@ def main():
             base, cur = baseline[key], current[key]
             if base <= 0:
                 continue
-            ratio = cur / base
+            if lower:
+                ratio = base / cur if cur > 0 else float("inf")
+            else:
+                ratio = cur / base
             file_compared += 1
             verdict = "ok"
             if ratio < args.min_ratio:

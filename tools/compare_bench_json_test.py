@@ -84,6 +84,30 @@ class CompareBenchJsonTest(unittest.TestCase):
     def test_missing_baseline_file_fails(self):
         self.assertEqual(self.check(None, harness_doc({"a": {"m": 1.0}})), 1)
 
+    def check_metric(self, metric, base, cur):
+        """Runs the checker on one record of `metric`; returns its exit code."""
+        return self.check(harness_doc({"a": {metric: base}}),
+                          harness_doc({"a": {metric: cur}}),
+                          "--metric", metric)
+
+    def test_lower_is_better_regression_fails(self):
+        # Latency up 2x: baseline/current = 0.5 < 0.75.
+        self.assertEqual(self.check_metric("p99_ms", 10.0, 20.0), 1)
+        self.assertEqual(self.check_metric("build_seconds", 1.0, 1.5), 1)
+        self.assertEqual(self.check_metric("real_time", 100.0, 200.0), 1)
+        self.assertEqual(self.check_metric("slowdown_vs_store", 1.0, 2.0), 1)
+
+    def test_lower_is_better_improvement_passes(self):
+        self.assertEqual(self.check_metric("probe_us", 20.0, 5.0), 0)
+        self.assertEqual(self.check_metric("cpu_time", 100.0, 90.0), 0)
+
+    def test_gate_flags_stay_higher_is_better(self):
+        # A 0/1 flag dropping to 0 fails even though it names a
+        # percentile; a held flag passes.
+        self.assertEqual(self.check_metric("p99_within_deadline", 1.0, 0.0), 1)
+        self.assertEqual(self.check_metric("p99_within_deadline", 1.0, 1.0), 0)
+        self.assertEqual(self.check_metric("p50_within_gate", 1.0, 0.0), 1)
+
 
 if __name__ == "__main__":
     unittest.main()
