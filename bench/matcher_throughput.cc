@@ -8,10 +8,13 @@
 // Doubles as a CI gate: the two paths must produce bit-identical link
 // sets (ids, scores and order); any divergence exits non-zero.
 //
-// Emits BENCH_matcher_throughput.json; `extra.pairs_per_second` is the
-// regression metric tools/compare_bench_json.py tracks, and
-// `extra.speedup_vs_operator_tree` the machine-independent ratio the
-// tentpole is judged by (>= 5x at 1 thread on the blocking config).
+// Emits BENCH_matcher_throughput.json; `extra.pairs_per_second` (at
+// the median round's time) is the regression metric tools/compare_bench_json.py tracks,
+// and `extra.speedup_vs_operator_tree` the machine-independent ratio CI
+// holds against bench/baselines. Each round times the two joins back to
+// back, alternating which goes first, and the speedup is the median of
+// the per-round ratios: a host speed switch then moves both sides of a
+// round alike instead of one side of the whole comparison.
 
 #include <algorithm>
 #include <chrono>
@@ -34,10 +37,18 @@ struct PathMeasurement {
   std::string system;
   bool use_blocking = true;
   bool operator_tree = false;
-  double seconds = 0.0;
+  std::vector<double> round_seconds;
+  double speedup = 1.0;  // median per-round operator-tree / this path
   size_t pairs = 0;
   std::vector<GeneratedLink> links;
 };
+
+// The middle sample of an odd number of samples.
+double Median(std::vector<double> samples) {
+  const auto mid = samples.begin() + samples.size() / 2;
+  std::nth_element(samples.begin(), mid, samples.end());
+  return *mid;
+}
 
 // A representative learned rule: transform chains on both comparisons
 // (tokenize feeds a set measure, lowercase feeds an edit distance), so
@@ -128,36 +139,47 @@ int main() {
               "pairs\n",
               task.a.size(), blocked_pairs, cross_pairs);
 
-  // Best-of-3 even at smoke scale: single-sample wall times on a
-  // millisecond-long join are too noisy for the CI ratio gate.
-  const size_t reps = 3;
+  // Paired rounds, an odd number so the median is one round's ratio.
+  const size_t rounds = 11;
   std::vector<PathMeasurement> runs = {
-      {"matcher/operator-tree/blocking", true, true, 0.0, 0, {}},
-      {"matcher/value-store/blocking", true, false, 0.0, 0, {}},
-      {"matcher/operator-tree/cross", false, true, 0.0, 0, {}},
-      {"matcher/value-store/cross", false, false, 0.0, 0, {}},
+      {"matcher/operator-tree/blocking", true, true, {}, 1.0, 0, {}},
+      {"matcher/value-store/blocking", true, false, {}, 1.0, 0, {}},
+      {"matcher/operator-tree/cross", false, true, {}, 1.0, 0, {}},
+      {"matcher/value-store/cross", false, false, {}, 1.0, 0, {}},
   };
-  for (PathMeasurement& run : runs) {
+  for (size_t family = 0; family < runs.size(); family += 2) {
+    PathMeasurement& tree = runs[family];
+    PathMeasurement& store = runs[family + 1];
     MatchOptions options;
-    options.use_blocking = run.use_blocking;
+    options.use_blocking = store.use_blocking;
     options.num_threads = 1;
-    run.pairs = run.use_blocking ? blocked_pairs : cross_pairs;
-    double best = 0.0;
-    for (size_t r = 0; r < reps; ++r) {
-      auto start = std::chrono::steady_clock::now();
-      auto links = run.operator_tree
-                       ? OperatorTreeLinks(rule, task.a, run.use_blocking)
-                       : GenerateLinks(rule, task.a, task.a, options);
-      double elapsed = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - start)
-                           .count();
-      if (r == 0 || elapsed < best) best = elapsed;
-      run.links = std::move(links);
+    tree.pairs = store.pairs = store.use_blocking ? blocked_pairs : cross_pairs;
+    const auto time = [&](PathMeasurement& run) {
+      const auto start = std::chrono::steady_clock::now();
+      run.links = run.operator_tree
+                      ? OperatorTreeLinks(rule, task.a, run.use_blocking)
+                      : GenerateLinks(rule, task.a, task.a, options);
+      run.round_seconds.push_back(std::chrono::duration<double>(
+                                      std::chrono::steady_clock::now() - start)
+                                      .count());
+    };
+    std::vector<double> ratios;
+    for (size_t r = 0; r < rounds; ++r) {
+      if (r % 2 == 0) {
+        time(tree);
+        time(store);
+      } else {
+        time(store);
+        time(tree);
+      }
+      ratios.push_back(tree.round_seconds.back() / store.round_seconds.back());
     }
-    run.seconds = best;
+    store.speedup = Median(ratios);
+  }
+  for (const PathMeasurement& run : runs) {
+    const double seconds = Median(run.round_seconds);
     std::printf("%-34s %8.3fs  %10.0f pairs/s  %zu links\n",
-                run.system.c_str(), run.seconds,
-                run.seconds > 0.0 ? run.pairs / run.seconds : 0.0,
+                run.system.c_str(), seconds, run.pairs / seconds,
                 run.links.size());
   }
 
@@ -172,46 +194,33 @@ int main() {
                  "(or no links were generated)\n");
   }
 
-  auto operator_tree_seconds = [&](bool use_blocking) {
-    for (const PathMeasurement& run : runs) {
-      if (run.use_blocking == use_blocking && run.operator_tree) {
-        return run.seconds;
-      }
-    }
-    return 0.0;
-  };
-
   std::vector<BenchRecord> records;
   for (const PathMeasurement& run : runs) {
+    const double seconds = Median(run.round_seconds);
     BenchRecord record;
     record.dataset = "restaurant";
     record.system = run.system;
     record.data_scale = data.scale;
-    record.runs = reps;
-    record.seconds = {run.seconds, 0.0};
-    const double baseline = operator_tree_seconds(run.use_blocking);
+    record.runs = rounds;
+    record.seconds = {seconds, 0.0};
     record.extra = {
         {"threads", 1.0},
         {"pairs", static_cast<double>(run.pairs)},
         {"links", static_cast<double>(run.links.size())},
-        {"pairs_per_second",
-         run.seconds > 0.0 ? static_cast<double>(run.pairs) / run.seconds : 0.0},
-        {"speedup_vs_operator_tree",
-         run.seconds > 0.0 ? baseline / run.seconds : 0.0},
+        {"pairs_per_second", static_cast<double>(run.pairs) / seconds},
+        {"speedup_vs_operator_tree", run.speedup},
         {"links_identical", identical ? 1.0 : 0.0},
     };
     records.push_back(std::move(record));
   }
   WriteBenchJson("matcher_throughput", scale, records);
 
-  for (bool blocking : {true, false}) {
-    for (const PathMeasurement& run : runs) {
-      if (run.use_blocking == blocking && !run.operator_tree &&
-          run.seconds > 0.0) {
-        std::printf("value-store speedup (%s): %.2fx\n",
-                    blocking ? "blocking" : "cross",
-                    operator_tree_seconds(blocking) / run.seconds);
-      }
+  for (const PathMeasurement& run : runs) {
+    if (!run.operator_tree) {
+      std::printf("value-store speedup (%s): %.2fx, median of %zu paired "
+                  "rounds\n",
+                  run.use_blocking ? "blocking" : "cross", run.speedup,
+                  rounds);
     }
   }
   return identical ? 0 : 1;

@@ -53,4 +53,22 @@ double ThresholdedScore(double distance, double threshold) {
   return 1.0 - distance / threshold;
 }
 
+void ThresholdedScores(std::span<const double> distances, double threshold,
+                       double* out) {
+  // Branch-free, so the loops vectorize. For θ > 0, rounding is
+  // monotone: where d > θ the quotient d/θ rounds to at least 1, so
+  // 1 - d/θ is negative or +0 and clamping it at 0 gives the scalar
+  // form's 0.0; where d <= θ it rounds to at most 1, so 1 - d/θ >= +0
+  // passes the clamp unchanged. std::max returns a NaN first argument,
+  // as the scalar form returns NaN for a NaN distance or threshold.
+  const size_t n = distances.size();
+  if (threshold <= 0.0) {
+    for (size_t i = 0; i < n; ++i) out[i] = distances[i] == 0.0 ? 1.0 : 0.0;
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = std::max(1.0 - distances[i] / threshold, 0.0);
+  }
+}
+
 }  // namespace genlink

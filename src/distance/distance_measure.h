@@ -100,6 +100,12 @@ class DistanceMeasure {
 /// θ == 0 degenerates to exact match (1 if d == 0 else 0).
 double ThresholdedScore(double distance, double threshold);
 
+/// ThresholdedScore over a column: out[i] = ThresholdedScore(
+/// distances[i], threshold) for every i, bit for bit. `out` holds
+/// distances.size() doubles and may alias `distances`.
+void ThresholdedScores(std::span<const double> distances, double threshold,
+                       double* out);
+
 }  // namespace genlink
 
 #endif  // GENLINK_DISTANCE_DISTANCE_MEASURE_H_

@@ -1,5 +1,6 @@
 #include "eval/engine.h"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_set>
 
@@ -45,7 +46,10 @@ EvaluationEngine::EvaluationEngine(std::span<const LabeledPair> pairs,
   std::unordered_map<const Entity*, uint32_t> source_index, target_index;
   pair_source_index_.reserve(pairs_.size());
   pair_target_index_.reserve(pairs_.size());
+  pair_is_match_.reserve(pairs_.size());
   for (const LabeledPair& pair : pairs_) {
+    pair_is_match_.push_back(pair.is_match);
+    positives_ += pair.is_match;
     auto [sit, s_new] = source_index.try_emplace(
         pair.a, static_cast<uint32_t>(source_entities.size()));
     if (s_new) source_entities.push_back(pair.a);
@@ -81,18 +85,34 @@ ConfusionMatrix EvaluationEngine::EvaluateWithRows(
   // distance, which ThresholdedScore maps to the spec's 0.0.
   const RuleProgram program(rule);
   assert(program.sites().size() == rows.size());
-  ConfusionMatrix cm;
-  for (size_t p = 0; p < pairs_.size(); ++p) {
-    const bool predicted =
-        Score(program, [&](size_t site, double /*threshold*/) {
-          return (*rows[site])[p];
-        }) >= kMatchThreshold;
-    if (pairs_[p].is_match) {
-      predicted ? ++cm.tp : ++cm.fn;
-    } else {
-      predicted ? ++cm.fp : ++cm.tn;
+  // One program run per block of pairs. The predictions are counted
+  // per lane of the block, in doubles: a double compare feeding a
+  // double select and add vectorizes, where an integer count does not.
+  // Every lane count is an integer below 2^53, so the sums are exact.
+  double scores[RuleProgram::kBlock];
+  double predicted[RuleProgram::kBlock] = {};
+  double true_positives[RuleProgram::kBlock] = {};
+  for (size_t begin = 0; begin < pairs_.size(); begin += RuleProgram::kBlock) {
+    const size_t n = std::min(RuleProgram::kBlock, pairs_.size() - begin);
+    ScoreBlock(
+        program, n,
+        [&](size_t site) { return rows[site]->data() + begin; }, scores);
+    const uint8_t* is_match = pair_is_match_.data() + begin;
+    for (size_t i = 0; i < n; ++i) {
+      const double match = scores[i] >= kMatchThreshold ? 1.0 : 0.0;
+      predicted[i] += match;
+      true_positives[i] += match * is_match[i];
     }
   }
+  ConfusionMatrix cm;
+  size_t predicted_count = 0;
+  for (size_t i = 0; i < RuleProgram::kBlock; ++i) {
+    predicted_count += static_cast<size_t>(predicted[i]);
+    cm.tp += static_cast<size_t>(true_positives[i]);
+  }
+  cm.fp = predicted_count - cm.tp;
+  cm.fn = positives_ - cm.tp;
+  cm.tn = pairs_.size() - positives_ - cm.fp;
   return cm;
 }
 
@@ -229,10 +249,9 @@ void EvaluationEngine::EvaluateBatch(std::span<const LinkageRule* const> rules,
   // rows each rule needs are resolved serially first — the map is
   // serial-phase state, so worker tasks receive plain row pointers
   // and never touch `distance_rows_` itself. Each rule is scored by
-  // one task with a serial in-order pass over the pairs
-  // (deterministic reduction); rows are resolved once per rule, in
-  // the comparisons' pre-order, so the rule's program reads site k
-  // from row k.
+  // one task, block by block over the pairs (no reduction crosses a
+  // task); rows are resolved once per rule, in the comparisons'
+  // pre-order, so the rule's program reads site k from row k.
   std::vector<std::vector<const std::vector<double>*>> rule_rows(
       pending.size());
   for (size_t k = 0; k < pending.size(); ++k) {

@@ -33,8 +33,8 @@
 //     read from a cached row (empty value sets are stored as
 //     kInfiniteDistance, which ThresholdedScore maps to the same 0.0
 //     score the serial short-circuit produces), and the rule's program
-//     (rule/rule_program.h) hands every aggregation the same operand
-//     scores and weights the operator tree does.
+//     (rule/rule_program.h), run a block of pairs at a time by
+//     ScoreBlock, gives each pair the score the operator tree does.
 //   * Results are independent of the thread count: each distance row
 //     and each rule is filled by exactly one task, caches are only
 //     written in the serial phases, and no reduction crosses a task
@@ -184,9 +184,12 @@ class EvaluationEngine {
                                 std::vector<double>& row) const;
 
   /// Evaluates one rule using cached distance rows only (no string
-  /// distance is computed): the rule's program (rule/rule_program.h)
-  /// with site k reading rows[k]. `rows` holds the rule's comparison
-  /// rows in the pre-order of RuleHashInfo::comparisons.
+  /// distance is computed). `rows` holds the rule's comparison rows in
+  /// the pre-order of RuleHashInfo::comparisons. The training pairs are
+  /// walked in blocks of RuleProgram::kBlock: one ScoreBlock run of the
+  /// rule's program (rule/rule_program.h) per block, site k reading its
+  /// slice of rows[k], then the block's scores are counted into the
+  /// confusion matrix without a branch.
   ConfusionMatrix EvaluateWithRows(
       const LinkageRule& rule,
       std::span<const std::vector<double>* const> rows) const;
@@ -214,6 +217,11 @@ class EvaluationEngine {
   /// Training-pair index -> store entity index, per side.
   std::vector<uint32_t> pair_source_index_;
   std::vector<uint32_t> pair_target_index_;
+  /// Training-pair index -> 1 for a match, else 0, contiguous for the
+  /// vectorized confusion counts of EvaluateWithRows; positives_
+  /// counts the 1s.
+  std::vector<uint8_t> pair_is_match_;
+  size_t positives_ = 0;
   EngineStats stats_ GENLINK_GUARDED_BY(serial_phase_);
 };
 

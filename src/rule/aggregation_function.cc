@@ -11,11 +11,31 @@ double MinAggregation::Aggregate(std::span<const double> scores,
   return best;
 }
 
+void MinAggregation::AggregateColumns(std::span<const double* const> columns,
+                                      std::span<const double>, size_t n,
+                                      double* out) const {
+  // Aggregate's fold, one operand column at a time. The first pass
+  // reads columns[0][i] before it writes out[i], so out may alias it.
+  for (size_t i = 0; i < n; ++i) out[i] = std::min(1.0, columns[0][i]);
+  for (const double* column : columns.subspan(1)) {
+    for (size_t i = 0; i < n; ++i) out[i] = std::min(out[i], column[i]);
+  }
+}
+
 double MaxAggregation::Aggregate(std::span<const double> scores,
                                  std::span<const double>) const {
   double best = 0.0;
   for (double s : scores) best = std::max(best, s);
   return best;
+}
+
+void MaxAggregation::AggregateColumns(std::span<const double* const> columns,
+                                      std::span<const double>, size_t n,
+                                      double* out) const {
+  for (size_t i = 0; i < n; ++i) out[i] = std::max(0.0, columns[0][i]);
+  for (const double* column : columns.subspan(1)) {
+    for (size_t i = 0; i < n; ++i) out[i] = std::max(out[i], column[i]);
+  }
 }
 
 double WeightedMeanAggregation::Aggregate(std::span<const double> scores,
@@ -28,6 +48,27 @@ double WeightedMeanAggregation::Aggregate(std::span<const double> scores,
   }
   if (weight_sum <= 0.0) return 0.0;
   return sum / weight_sum;
+}
+
+void WeightedMeanAggregation::AggregateColumns(
+    std::span<const double* const> columns, std::span<const double> weights,
+    size_t n, double* out) const {
+  // The weight sum does not depend on the scores: Aggregate's sum in
+  // operand order, taken once. Per element, the weighted scores are
+  // then summed from 0.0 in operand order and divided once.
+  double weight_sum = 0.0;
+  for (double weight : weights) weight_sum += weight;
+  if (weight_sum <= 0.0) {
+    std::fill_n(out, n, 0.0);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) out[i] = 0.0 + weights[0] * columns[0][i];
+  for (size_t k = 1; k < columns.size(); ++k) {
+    const double weight = weights[k];
+    const double* column = columns[k];
+    for (size_t i = 0; i < n; ++i) out[i] += weight * column[i];
+  }
+  for (size_t i = 0; i < n; ++i) out[i] /= weight_sum;
 }
 
 AggregationRegistry::AggregationRegistry() {

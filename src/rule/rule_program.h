@@ -1,17 +1,28 @@
 // The rule interpreter: a linkage rule compiled once into a flat
-// post-order program, run by one evaluator over any distance source.
+// post-order program, run over any distance source.
 //
 // LinkageRule::Evaluate walks the operator tree per pair and stays the
 // executable spec of Definitions 7 and 8. Every compiled scoring surface
-// runs this program instead — the evaluation engine over cached
-// distance rows, MatcherIndex over a query's values against its
-// ValueReader, LiveCorpus over a delta entry's site values. They differ only in where a comparison's raw
-// distance comes from, so that is the one thing each supplies:
+// runs this program instead. They differ only in where a comparison's
+// raw distance comes from, so that is the one thing each supplies.
+// MatcherIndex (a query's values against its ValueReader) and
+// LiveCorpus (a delta entry's site values) score one pair at a time:
 //
 //   RuleProgram program(rule);  // once per rule
 //   double score = Score(program, [&](size_t site, double threshold) {
 //     return /* raw distance of comparison `site` for this pair */;
 //   });
+//
+// The evaluation engine holds every training pair's distance for a
+// site in one cached row, so it scores a block of up to kBlock pairs
+// per run of the program: each site turns its slice of the row into a
+// score column, and each aggregation combines its operand columns in
+// one AggregateColumns call.
+//
+//   double scores[RuleProgram::kBlock];
+//   ScoreBlock(program, n, [&](size_t site) {
+//     return /* pointer to the n raw distances of comparison `site` */;
+//   }, scores);
 //
 // The program lists the rule's comparison sites in the pre-order
 // AnalyzeRule uses (rule/rule_hash.h), each with its threshold, so site
@@ -27,11 +38,17 @@
 // no double changes provided the distance source returns the spec's
 // distance, or one that ThresholdedScore maps to the same score (a
 // distance computed with the threshold as its bound, or
-// kInfiniteDistance for an empty value set).
+// kInfiniteDistance for an empty value set). ScoreBlock keeps this
+// element by element: ThresholdedScores and AggregateColumns promise
+// each element the double of their scalar forms, so a pair's score is
+// the one Score() returns (tests/rule_oracle_test.cc compares the bit
+// patterns).
 
 #ifndef GENLINK_RULE_RULE_PROGRAM_H_
 #define GENLINK_RULE_RULE_PROGRAM_H_
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -50,6 +67,11 @@ class RuleProgram {
   /// heap buffer per call. GP rules stay far below this (the operator
   /// budget bounds the stack depth).
   static constexpr size_t kInlineStack = 32;
+
+  /// Pairs one ScoreBlock() run scores at most. Its stack of score
+  /// columns is the caller's output column plus kInlineStack - 1
+  /// columns of kBlock doubles (62 KiB) on the C++ stack.
+  static constexpr size_t kBlock = 256;
 
   /// One comparison operator of the rule.
   struct Site {
@@ -120,6 +142,61 @@ double Score(const RuleProgram& program, DistanceFn&& distance) {
     }
   }
   return stack[0];
+}
+
+/// Scores `n` <= kBlock pairs in one run of the program: `row(site)`
+/// must return a pointer to the raw distances of comparison `site` for
+/// the n pairs, in pair order. out[i] receives pair i's score, the
+/// double Score() returns for it; `out` holds kBlock doubles and is the
+/// bottom slot of the column stack. Allocates nothing unless
+/// max_stack() exceeds kInlineStack; the stack never grows with n.
+template <typename RowFn>
+void ScoreBlock(const RuleProgram& program, size_t n, RowFn&& row,
+                double* out) {
+  constexpr size_t kBlock = RuleProgram::kBlock;
+  assert(n <= kBlock);
+  if (program.empty()) {
+    std::fill_n(out, n, 0.0);
+    return;
+  }
+  // Stack slot 0 is `out`, slot s > 0 column s - 1 of `columns`;
+  // slots[s] points at slot s, so an aggregation's operands are a span
+  // of slots and its result lands in place of its first operand.
+  double inline_columns[(RuleProgram::kInlineStack - 1) * kBlock];
+  double* inline_slots[RuleProgram::kInlineStack];
+  std::vector<double> heap_columns;
+  std::vector<double*> heap_slots;
+  double* columns = inline_columns;
+  double** slots = inline_slots;
+  if (program.max_stack() > RuleProgram::kInlineStack) {
+    heap_columns.resize((program.max_stack() - 1) * kBlock);
+    heap_slots.resize(program.max_stack());
+    columns = heap_columns.data();
+    slots = heap_slots.data();
+  }
+  slots[0] = out;
+  for (size_t s = 1; s < program.max_stack(); ++s) {
+    slots[s] = columns + (s - 1) * kBlock;
+  }
+  const std::vector<RuleProgram::Site>& sites = program.sites();
+  size_t top = 0;
+  size_t next_site = 0;
+  for (const RuleProgram::Op& op : program.code()) {
+    if (op.function == nullptr) {
+      ThresholdedScores({row(next_site), n}, sites[next_site].threshold,
+                        slots[top]);
+      ++top;
+      ++next_site;
+    } else if (op.arity == 0) {
+      std::fill_n(slots[top], n, 0.0);  // the spec's empty aggregation
+      ++top;
+    } else {
+      top -= op.arity;
+      op.function->AggregateColumns({slots + top, op.arity},
+                                    program.weights(op), n, slots[top]);
+      ++top;
+    }
+  }
 }
 
 }  // namespace genlink

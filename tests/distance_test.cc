@@ -1,6 +1,10 @@
 // Unit and property tests for the distance measure library.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -152,6 +156,39 @@ TEST(ThresholdedScoreTest, Definition7Semantics) {
   EXPECT_DOUBLE_EQ(ThresholdedScore(0.1, 0.0), 0.0);
   // Infinite distance is always 0.
   EXPECT_DOUBLE_EQ(ThresholdedScore(kInfiniteDistance, 5.0), 0.0);
+}
+
+TEST(ThresholdedScoreTest, ColumnFormIsBitIdentical) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = kInfiniteDistance;
+  // Distances at, just beside and far from each threshold, signed
+  // zeros, infinities and NaN; thresholds above, at and below 0.
+  const std::vector<double> thresholds = {1.0,  0.3,  2.0 / 3.0, 1e-300, 7.5,
+                                          inf,  0.0,  -0.0,      -1.5,   nan};
+  for (double threshold : thresholds) {
+    std::vector<double> distances = {0.0,  -0.0, 0.5,  1.0,  2.0 / 3.0,
+                                     1e-300, 3.0, 1e300, inf, -inf,
+                                     nan,  -0.25, threshold,
+                                     std::nextafter(threshold, inf),
+                                     std::nextafter(threshold, -inf)};
+    std::vector<double> out(distances.size());
+    ThresholdedScores(distances, threshold, out.data());
+    // In place: `out` may alias the distances.
+    std::vector<double> in_place = distances;
+    ThresholdedScores(in_place, threshold, in_place.data());
+    for (size_t i = 0; i < distances.size(); ++i) {
+      const double want = ThresholdedScore(distances[i], threshold);
+      const auto same = [&](double got) {
+        return std::bit_cast<uint64_t>(got) == std::bit_cast<uint64_t>(want) ||
+               (std::isnan(got) && std::isnan(want));
+      };
+      EXPECT_TRUE(same(out[i]))
+          << "d=" << distances[i] << " t=" << threshold << ": " << out[i]
+          << " vs " << want;
+      EXPECT_TRUE(same(in_place[i]))
+          << "d=" << distances[i] << " t=" << threshold << " in place";
+    }
+  }
 }
 
 // ------------------------------------------------- property tests (TEST_P)

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "datasets/cora.h"
 #include "datasets/restaurant.h"
 #include "eval/engine.h"
@@ -11,6 +14,7 @@
 #include "gp/rule_generator.h"
 #include "rule/builder.h"
 #include "rule/rule_hash.h"
+#include "rule/rule_program.h"
 #include "rule/serialize.h"
 
 namespace genlink {
@@ -102,6 +106,17 @@ TEST(FitnessCacheTest, EvictsWhenFull) {
 
 // ------------------------------------------- engine vs serial evaluator
 
+void ExpectSameFitness(const FitnessResult& got, const FitnessResult& want,
+                       const std::string& label = "") {
+  EXPECT_EQ(got.fitness, want.fitness) << label;
+  EXPECT_EQ(got.mcc, want.mcc) << label;
+  EXPECT_EQ(got.f_measure, want.f_measure) << label;
+  EXPECT_EQ(got.confusion.tp, want.confusion.tp) << label;
+  EXPECT_EQ(got.confusion.tn, want.confusion.tn) << label;
+  EXPECT_EQ(got.confusion.fp, want.confusion.fp) << label;
+  EXPECT_EQ(got.confusion.fn, want.confusion.fn) << label;
+}
+
 class EngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -135,15 +150,48 @@ TEST_F(EngineTest, BitIdenticalToSerialEvaluator) {
   FitnessEvaluator serial(pairs_, task_.Source().schema(),
                           task_.Target().schema());
   for (const LinkageRule& rule : RandomRules(80, 11)) {
-    FitnessResult cached = engine.Evaluate(rule);
-    FitnessResult reference = serial.Evaluate(rule);
-    EXPECT_EQ(cached.fitness, reference.fitness);
-    EXPECT_EQ(cached.mcc, reference.mcc);
-    EXPECT_EQ(cached.f_measure, reference.f_measure);
-    EXPECT_EQ(cached.confusion.tp, reference.confusion.tp);
-    EXPECT_EQ(cached.confusion.tn, reference.confusion.tn);
-    EXPECT_EQ(cached.confusion.fp, reference.confusion.fp);
-    EXPECT_EQ(cached.confusion.fn, reference.confusion.fn);
+    ExpectSameFitness(engine.Evaluate(rule), serial.Evaluate(rule));
+  }
+}
+
+TEST_F(EngineTest, BlockTailsMatchSerialEvaluator) {
+  // The engine scores its pairs RuleProgram::kBlock at a time. Cut the
+  // pairs so the last block is one pair short of full, full, and a
+  // single pair. Resolve lists every positive before the negatives, and
+  // the fixture holds fewer than kBlock + 1 pairs, so the cut alternates
+  // the labels and wraps around each: every block counts both.
+  constexpr size_t kBlock = RuleProgram::kBlock;
+  std::vector<LabeledPair> positives, negatives;
+  for (const LabeledPair& pair : pairs_) {
+    (pair.is_match ? positives : negatives).push_back(pair);
+  }
+  ASSERT_FALSE(positives.empty());
+  ASSERT_FALSE(negatives.empty());
+  const std::vector<LinkageRule> rules = RandomRules(40, 23);
+  std::vector<const LinkageRule*> batch;
+  for (const LinkageRule& rule : rules) batch.push_back(&rule);
+  for (size_t count : {kBlock - 1, kBlock, kBlock + 1}) {
+    std::vector<LabeledPair> pairs;
+    for (size_t i = 0; i < count; ++i) {
+      const std::vector<LabeledPair>& side = i % 2 == 0 ? positives : negatives;
+      pairs.push_back(side[(i / 2) % side.size()]);
+    }
+    FitnessEvaluator serial(pairs, task_.Source().schema(),
+                            task_.Target().schema());
+    for (size_t threads : {1, 4}) {
+      EngineConfig config;
+      config.num_threads = threads;
+      EvaluationEngine engine(pairs, task_.Source().schema(),
+                              task_.Target().schema(), {}, config);
+      std::vector<FitnessResult> results(batch.size());
+      engine.EvaluateBatch(batch, results);
+      for (size_t k = 0; k < batch.size(); ++k) {
+        ExpectSameFitness(results[k], serial.Evaluate(*batch[k]),
+                          "rule #" + std::to_string(k) +
+                              " pairs=" + std::to_string(count) +
+                              " threads=" + std::to_string(threads));
+      }
+    }
   }
 }
 
@@ -153,17 +201,9 @@ TEST_F(EngineTest, ValueStoreDoesNotChangeResults) {
   FitnessEvaluator serial(pairs_, task_.Source().schema(),
                           task_.Target().schema());
   for (const LinkageRule& rule : RandomRules(80, 21)) {
-    FitnessResult via_store = store_engine.Evaluate(rule);
-    FitnessResult reference = serial.Evaluate(rule);
     // Distance rows computed from interned values score bit-identically
     // to the serial evaluator's per-pair operator tree.
-    EXPECT_EQ(via_store.fitness, reference.fitness);
-    EXPECT_EQ(via_store.mcc, reference.mcc);
-    EXPECT_EQ(via_store.f_measure, reference.f_measure);
-    EXPECT_EQ(via_store.confusion.tp, reference.confusion.tp);
-    EXPECT_EQ(via_store.confusion.tn, reference.confusion.tn);
-    EXPECT_EQ(via_store.confusion.fp, reference.confusion.fp);
-    EXPECT_EQ(via_store.confusion.fn, reference.confusion.fn);
+    ExpectSameFitness(store_engine.Evaluate(rule), serial.Evaluate(rule));
   }
   // The store actually ran: plans were compiled and values interned.
   EXPECT_GT(store_engine.stats().value_plans_compiled, 0u);

@@ -8,7 +8,8 @@
 // value store, from a mapped v2 corpus artifact or from per-query
 // evaluated values, and LiveCorpus additionally from its delta entries.
 // This suite holds all of them to the spec bit for bit (EXPECT_EQ on the
-// doubles), at 1 and 4 threads, over
+// doubles), at 1 and 4 threads, and the engine's block evaluator
+// (ScoreBlock) to the pair-at-a-time Score() on bit patterns, over
 //
 //   * seeded random rules from RuleGenerator in every representation
 //     mode, plus deeper random trees built from its fragments, and
@@ -28,6 +29,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <set>
@@ -529,6 +532,68 @@ TEST(RuleOracleTest, EngineMatchesFitnessEvaluator) {
       }
     }
     EXPECT_GT(engine.stats().distance_row_hits, 0u);
+  }
+}
+
+// The engine scores training pairs through ScoreBlock. The oracle above
+// compares confusion matrices only, so a score that drifts without
+// crossing 0.5 would pass it: here each pair's ScoreBlock score must
+// have the bit pattern of its Score() score.
+TEST(RuleOracleTest, ScoreBlockMatchesScoreBitForBit) {
+  constexpr size_t kBlock = RuleProgram::kBlock;
+  // The rules, and copies whose thresholds cycle through 0, -1.5 and
+  // the original (ThresholdedScore's exact-match branch).
+  std::vector<LinkageRule> rules;
+  for (const LinkageRule& rule : Rules()) {
+    rules.push_back(rule.Clone());
+    LinkageRule degenerate = rule.Clone();
+    const std::vector<ComparisonOperator*> comparisons =
+        CollectComparisons(degenerate);
+    for (size_t k = 0; k < comparisons.size(); ++k) {
+      if (k % 3 < 2) comparisons[k]->set_threshold(k % 3 == 0 ? 0.0 : -1.5);
+    }
+    rules.push_back(std::move(degenerate));
+  }
+  Rng rng(2718);
+  for (size_t pairs : {size_t{0}, size_t{1}, kBlock - 1, kBlock, kBlock + 1,
+                       3 * kBlock + 7}) {
+    for (size_t r = 0; r < rules.size(); ++r) {
+      const RuleProgram program(rules[r]);
+      // One distance row per site: 0, exactly the threshold,
+      // kInfiniteDistance, or a random distance in [0, 2 max(θ, 1)).
+      std::vector<std::vector<double>> rows;
+      for (const RuleProgram::Site& site : program.sites()) {
+        std::vector<double>& row = rows.emplace_back(pairs);
+        for (double& distance : row) {
+          switch (rng.PickIndex(4)) {
+            case 0: distance = 0.0; break;
+            case 1: distance = site.threshold; break;
+            case 2: distance = kInfiniteDistance; break;
+            default:
+              distance = rng.Uniform(0.0, 2.0 * std::max(site.threshold, 1.0));
+          }
+        }
+      }
+      // Block by block, as the engine walks its pairs.
+      std::vector<double> scores(pairs);
+      double block[kBlock];
+      for (size_t begin = 0; begin < pairs; begin += kBlock) {
+        const size_t n = std::min(kBlock, pairs - begin);
+        ScoreBlock(
+            program, n,
+            [&](size_t site) { return rows[site].data() + begin; }, block);
+        std::copy_n(block, n, scores.begin() + begin);
+      }
+      for (size_t p = 0; p < pairs; ++p) {
+        const double want = Score(
+            program, [&](size_t site, double) { return rows[site][p]; });
+        EXPECT_EQ(std::bit_cast<uint64_t>(scores[p]),
+                  std::bit_cast<uint64_t>(want))
+            << "rule #" << r << " pairs=" << pairs << " pair " << p << ": "
+            << scores[p] << " vs " << want;
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
   }
 }
 

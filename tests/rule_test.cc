@@ -1,11 +1,22 @@
 // Unit tests for the linkage-rule operator tree: evaluation semantics of
-// Definitions 5-8, the Figure 2 example, tree utilities and validation.
+// Definitions 5-8, the Figure 2 example, tree utilities and validation,
+// and the column form of every aggregation function.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
 #include "model/dataset.h"
+#include "rule/aggregation_function.h"
 #include "rule/builder.h"
 #include "rule/linkage_rule.h"
+#include "rule/rule_program.h"
 
 namespace genlink {
 namespace {
@@ -270,6 +281,82 @@ TEST_F(RuleTest, ConcatenateJoinsTwoProperties) {
   EXPECT_DOUBLE_EQ(rule->Evaluate(*people.FindEntity("p1"), *persons.FindEntity("q1"),
                                   people.schema(), persons.schema()),
                    1.0);
+}
+
+// ------------------------------------------------ aggregation columns
+
+// The same bit pattern, or both NaN. Which NaN payload survives when two
+// NaNs meet depends on operand position, and a compiler may commute a
+// sum's operands, so payloads are outside the bit-identity contract.
+bool SameDouble(double x, double y) {
+  return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y) ||
+         (std::isnan(x) && std::isnan(y));
+}
+
+TEST(AggregationColumnsTest, EveryFunctionMatchesAggregateElementByElement) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  // Thresholded scores, signed zeros, and values no site produces.
+  const std::vector<double> values = {
+      0.0, -0.0, 1.0, 0.5, 0.25, 1.0 / 3.0, 0.7, 1e-300,
+      kInf, -kInf, kNaN, -2.5, 7.0};
+  // Zero and negative weights, weight sums <= 0, arity 1, and arity
+  // above the rule program's inline stack.
+  std::vector<std::vector<double>> weight_sets = {
+      {1.0}, {3.0}, {0.0}, {-1.0},
+      {1.0, 1.0}, {2.0, 0.5}, {0.0, 3.0}, {-1.0, 4.0},
+      {1.0, -1.0}, {-2.0, 1.0}, {0.0, 0.0},
+      {3.0, 0.5, 7.25, 1e-3, 13.0},
+      {kInf, 1.0, 2.0}, {-kInf, kInf}, {kNaN, 1.0}};
+  std::vector<double> wide;
+  for (size_t k = 0; k < RuleProgram::kInlineStack + 9; ++k) {
+    wide.push_back(k % 5 == 0 ? 0.0 : k % 7 == 0 ? -0.5 : 0.25 * k);
+  }
+  weight_sets.push_back(wide);
+
+  // Every pair of values in the first two operands (element i holds
+  // values i % V and i / V there); later operands draw at random.
+  const size_t n = values.size() * values.size();
+  Rng rng(17);
+  for (const AggregationFunction* function :
+       AggregationRegistry::Default().functions()) {
+    for (const std::vector<double>& weights : weight_sets) {
+      const size_t arity = weights.size();
+      std::vector<std::vector<double>> columns(arity, std::vector<double>(n));
+      for (size_t k = 0; k < arity; ++k) {
+        for (size_t i = 0; i < n; ++i) {
+          columns[k][i] = k == 0   ? values[i % values.size()]
+                          : k == 1 ? values[i / values.size()]
+                                   : values[rng.PickIndex(values.size())];
+        }
+      }
+      std::vector<const double*> operands;
+      for (const std::vector<double>& column : columns) {
+        operands.push_back(column.data());
+      }
+      std::vector<double> out(n);
+      function->AggregateColumns(operands, weights, n, out.data());
+      // The engine writes an aggregation's result over its first
+      // operand.
+      std::vector<double> aliased = columns[0];
+      operands[0] = aliased.data();
+      function->AggregateColumns(operands, weights, n, aliased.data());
+
+      std::vector<double> scores(arity);
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t k = 0; k < arity; ++k) scores[k] = columns[k][i];
+        const double want = function->Aggregate(scores, weights);
+        const std::string label = std::string(function->name()) + " arity " +
+                                  std::to_string(arity) + " element " +
+                                  std::to_string(i);
+        EXPECT_TRUE(SameDouble(out[i], want))
+            << label << ": " << out[i] << " vs " << want;
+        EXPECT_TRUE(SameDouble(aliased[i], want))
+            << label << " (aliased): " << aliased[i] << " vs " << want;
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
 }
 
 }  // namespace
