@@ -77,9 +77,9 @@ void ThreadPool::WorkerLoop() {
       task = std::move(tasks_.front());
       tasks_.pop();
     }
-    // Tasks are exception-free by construction: the parallel helpers
-    // wrap user code in a try/catch (FirstErrorCollector), so nothing
-    // can escape here and kill the worker.
+    // Tasks are exception-free by construction: ParallelFor wraps user
+    // code in a try/catch (FirstErrorCollector), so nothing can escape
+    // here and kill the worker.
     task();
   }
 }
@@ -116,40 +116,6 @@ void ThreadPool::ParallelFor(size_t count, const std::function<void(size_t)>& fn
       // Count down under done_mutex: the caller can only see zero (and
       // return, destroying done_mutex and done_cv) once the last task
       // has released the mutex.
-      MutexLock lock(done_mutex);
-      if (remaining.fetch_sub(1) == 1) done_cv.NotifyOne();
-    });
-  }
-  {
-    MutexLock lock(done_mutex);
-    while (remaining.load() != 0) done_cv.Wait(lock);
-  }
-  errors.Rethrow();
-}
-
-void ThreadPool::ParallelForEach(size_t count,
-                                 const std::function<void(size_t)>& fn) {
-  if (count == 0) return;
-  FirstErrorCollector errors;
-  auto run_index = [&](size_t i) {
-    try {
-      fn(i);
-    } catch (...) {
-      errors.Record(i);
-    }
-  };
-  if (threads_.size() <= 1 || count == 1) {
-    for (size_t i = 0; i < count; ++i) run_index(i);
-    errors.Rethrow();
-    return;
-  }
-  std::atomic<size_t> remaining(count);
-  Mutex done_mutex;
-  CondVar done_cv;
-  for (size_t i = 0; i < count; ++i) {
-    Submit([&, i] {
-      run_index(i);
-      // Under done_mutex for the same reason as in ParallelFor.
       MutexLock lock(done_mutex);
       if (remaining.fetch_sub(1) == 1) done_cv.NotifyOne();
     });

@@ -5,11 +5,11 @@
 // they are dispatched through this pool (the paper notes tournament
 // selection was chosen partly because it is easy to parallelize).
 //
-// Thread-safety: ParallelFor and ParallelForEach may be called from any
-// number of threads at once on one pool — every serve worker's
-// MatchBatch and a WithRule compile share a corpus's pool. Each call
-// keeps its completion and error state on its own stack, so concurrent
-// calls only interleave their tasks in the shared queue
+// Thread-safety: ParallelFor may be called from any number of threads
+// at once on one pool — every serve worker's MatchBatch and a WithRule
+// compile share a corpus's pool. Each call keeps its completion and
+// error state on its own stack, so concurrent calls only interleave
+// their tasks in the shared queue
 // (tests/thread_pool_test.cc). A task must not call back into its own
 // pool: it would block a worker waiting for tasks queued behind it.
 // The task queue and the shutdown flag are guarded by `mutex_` and
@@ -17,9 +17,9 @@
 // see docs/CONCURRENCY.md for the lock hierarchy.
 //
 // Exceptions: a task that throws does not kill the worker or poison
-// the pool. Both parallel helpers run *every* index regardless of
-// failures, record the exception thrown by the smallest failing index,
-// and rethrow it after the whole range has been processed — the same
+// the pool. ParallelFor runs *every* index regardless of failures,
+// records the exception thrown by the smallest failing index, and
+// rethrows it after the whole range has been processed — the same
 // exception for any thread count, keeping error paths as deterministic
 // as success paths. The pool stays usable afterwards
 // (tests/thread_pool_test.cc).
@@ -58,14 +58,6 @@ class ThreadPool {
   /// every other index still runs and the smallest failing index's
   /// exception is rethrown here.
   void ParallelFor(size_t count, const std::function<void(size_t)>& fn);
-
-  /// Like ParallelFor, but submits one task per index with no
-  /// small-count inline shortcut: the right shape when `count` is small
-  /// and each task is heavy and unequal (e.g. one island's breeding
-  /// step), where chunking would serialize the work. Runs inline only
-  /// with a single worker or a single index. Same exception contract as
-  /// ParallelFor.
-  void ParallelForEach(size_t count, const std::function<void(size_t)>& fn);
 
  private:
   void Submit(std::function<void()> task);

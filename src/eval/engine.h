@@ -162,13 +162,6 @@ class EvaluationEngine {
     return stats_;
   }
 
-  /// The engine's worker pool, shared with the search layer: the
-  /// learner (gp/islands.cc) breeds its populations on the same threads
-  /// that evaluate fitness, so one pool serves the whole learning loop.
-  /// Breeding and evaluation never overlap (the learner alternates
-  /// them), so the sharing needs no extra synchronization.
-  ThreadPool& pool() { return pool_; }
-
  private:
   /// One rule awaiting evaluation (a fitness-memo miss).
   struct Pending {

@@ -62,24 +62,17 @@ struct GenLinkConfig {
   /// Worker threads for fitness evaluation (0 = hardware concurrency).
   size_t num_threads = 0;
 
-  /// ---- Island model (gp/islands.cc; an extension beyond Algorithm 1,
-  /// off by default). Number of independent populations, each of
-  /// `population_size` rules with its own deterministic RNG stream,
-  /// bred in parallel and evaluated through one shared engine. 1 is the
-  /// paper's single-population algorithm.
+  /// Number of populations. Learn evolves one population (Algorithm 1)
+  /// and rejects any other value with InvalidArgument; the field is
+  /// kept only for callers that still assign it.
   size_t num_islands = 1;
-  /// Every `migration_interval` generations the best `migration_size`
-  /// rules of each island replace the worst rules of its ring neighbor
-  /// (island i sends to island i+1 mod K). 0 disables migration.
-  size_t migration_interval = 5;
-  size_t migration_size = 3;
 
   /// External interrupt (may be set from a signal handler): when
-  /// non-null and true, learning finishes the current generation,
-  /// skips migration, and returns the best rule found so far with the
-  /// trajectory recorded up to that point (LearnResult::interrupted is
-  /// set). The flag is only ever *read* here; the CLI's SIGINT/SIGTERM
-  /// handling owns the write side. Null = run to completion.
+  /// non-null and true, learning finishes the current generation and
+  /// returns the best rule found so far with the trajectory recorded
+  /// up to that point (LearnResult::interrupted is set). The flag is
+  /// only ever *read* here; the CLI's SIGINT/SIGTERM handling owns the
+  /// write side. Null = run to completion.
   const std::atomic<bool>* stop_requested = nullptr;
 };
 
@@ -94,10 +87,6 @@ struct LearnResult {
   std::vector<CompatiblePair> compatible_pairs;
   /// Final counters of the evaluation engine (cache hit rates etc.).
   EngineStats eval_stats;
-  /// One trajectory per island (size = num_islands; element 0 equals
-  /// `trajectory` for single-island runs). `trajectory` itself is the
-  /// merged view: per iteration, the stats of the leading island.
-  std::vector<RunTrajectory> island_trajectories;
   /// True when the run ended because GenLinkConfig::stop_requested
   /// fired rather than by iteration budget or stop_f_measure; the best
   /// rule is still the best of the completed generations.
@@ -115,12 +104,12 @@ class GenLink {
   GenLink(const Dataset& a, const Dataset& b, GenLinkConfig config = {})
       : a_(&a), b_(&b), config_(std::move(config)) {}
 
-  /// Learns a linkage rule from `train` with `config().num_islands`
-  /// populations (gp/islands.cc). When `validation` is non-null,
-  /// per-iteration validation scores of the current best rule are
-  /// recorded in the trajectory. `callback` receives the merged
-  /// iteration stats and the leading island's population; it may be
-  /// null. Fails with InvalidArgument when `population_size` is 0.
+  /// Learns a linkage rule from `train` (gp/genlink.cc). When
+  /// `validation` is non-null, per-iteration validation scores of the
+  /// current best rule are recorded in the trajectory. `callback`
+  /// receives each iteration's stats and the population; it may be
+  /// null. Fails with InvalidArgument when `population_size` is 0 or
+  /// `num_islands` is not 1.
   Result<LearnResult> Learn(const ReferenceLinkSet& train,
                             const ReferenceLinkSet* validation, Rng& rng,
                             const IterationCallback& callback = nullptr) const;

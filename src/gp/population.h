@@ -1,5 +1,5 @@
 // Population of candidate linkage rules with cached fitness. The
-// learner (gp/islands.cc) fills the fitness of unevaluated individuals
+// learner (gp/genlink.cc) fills the fitness of unevaluated individuals
 // through the evaluation engine (eval/engine.h).
 
 #ifndef GENLINK_GP_POPULATION_H_

@@ -230,7 +230,6 @@ TEST(CliSmokeTest, MalformedNumericFlagValuesAreRejectedByName) {
        "--population"},
       {" learn --source a --target b --links l --match-threshold abc",
        "--match-threshold"},
-      {" learn --source a --target b --links l --islands 0", "--islands"},
       {" query --target b --rule r --threshold ,5", "--threshold"},
   };
   for (const Case& c : cases) {

@@ -96,120 +96,6 @@ TEST_F(ThreadInvarianceTest, PopulationEvaluationIndependentOfThreadCount) {
   }
 }
 
-// ------------------------------------------------ island-model invariance
-
-// A process-stable fingerprint of a LearnResult: the best rule's
-// structural hash plus every deterministic number of the merged and
-// per-island trajectories. Two runs with equal fingerprints learned the
-// same rules along the same path (wall-clock seconds excluded).
-struct LearnFingerprint {
-  uint64_t rule_hash = 0;
-  double initial_mean_f1 = 0.0;
-  std::string best_rule_sexpr;
-  std::vector<double> numbers;
-
-  bool operator==(const LearnFingerprint&) const = default;
-};
-
-LearnFingerprint Fingerprint(const LearnResult& result) {
-  LearnFingerprint fp;
-  fp.rule_hash = result.best_rule.StructuralHash();
-  fp.initial_mean_f1 = result.initial_population_mean_f1;
-  fp.best_rule_sexpr = result.trajectory.best_rule_sexpr;
-  auto add_trajectory = [&](const RunTrajectory& trajectory) {
-    for (const IterationStats& stats : trajectory.iterations) {
-      fp.numbers.push_back(static_cast<double>(stats.iteration));
-      fp.numbers.push_back(stats.train_f1);
-      fp.numbers.push_back(stats.val_f1);
-      fp.numbers.push_back(stats.train_mcc);
-      fp.numbers.push_back(stats.val_mcc);
-      fp.numbers.push_back(stats.mean_operators);
-      fp.numbers.push_back(stats.best_operators);
-    }
-  };
-  add_trajectory(result.trajectory);
-  for (const RunTrajectory& island : result.island_trajectories) {
-    add_trajectory(island);
-  }
-  return fp;
-}
-
-class IslandDeterminismTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    CoraConfig config;
-    config.scale = 0.05;
-    task_ = GenerateCora(config);
-  }
-
-  // One learning run with a fixed master seed: train on fold 0,
-  // validate on fold 1 (so val_* numbers are part of the fingerprint).
-  LearnFingerprint Run(size_t islands, size_t threads,
-                       size_t migration_interval) {
-    GenLinkConfig config;
-    config.population_size = 32;
-    config.max_iterations = 5;
-    config.num_threads = threads;
-    config.num_islands = islands;
-    config.migration_interval = migration_interval;
-    config.migration_size = 2;
-    Rng rng(2024);
-    auto folds = task_.links.SplitFolds(2, rng);
-    GenLink learner(task_.Source(), task_.Target(), config);
-    auto result = learner.Learn(folds[0], &folds[1], rng);
-    EXPECT_TRUE(result.ok());
-    return result.ok() ? Fingerprint(*result) : LearnFingerprint{};
-  }
-
-  MatchingTask task_;
-};
-
-// Same master seed => identical best rule and identical merged AND
-// per-island trajectories at any thread count, for one, two and four
-// islands. With migration every 2 generations of a 5-generation run,
-// this also proves migration (which replaces concrete individuals) is
-// independent of how breeding tasks were scheduled across threads.
-TEST_F(IslandDeterminismTest, ResultIndependentOfThreadCount) {
-  for (size_t islands : {1u, 2u, 4u}) {
-    LearnFingerprint single = Run(islands, 1, /*migration_interval=*/2);
-    EXPECT_FALSE(single.numbers.empty());
-    EXPECT_EQ(single, Run(islands, 4, 2)) << islands << " islands, 4 threads";
-    EXPECT_EQ(single, Run(islands, 8, 2)) << islands << " islands, 8 threads";
-  }
-}
-
-// Migration every generation (the most scheduling-sensitive setting):
-// the whole ring still replays identically across thread counts.
-TEST_F(IslandDeterminismTest, PerGenerationMigrationIsDeterministic) {
-  LearnFingerprint single = Run(4, 1, /*migration_interval=*/1);
-  EXPECT_EQ(single, Run(4, 8, 1));
-}
-
-// Multiple islands explore genuinely different populations: with
-// distinct per-island RNG streams the islands must not all evolve the
-// same trajectory (they may still converge to the same best rule).
-TEST_F(IslandDeterminismTest, IslandsEvolveIndependentPopulations) {
-  GenLinkConfig config;
-  config.population_size = 32;
-  config.max_iterations = 3;
-  config.num_islands = 3;
-  config.migration_interval = 0;  // isolation: no mixing at all
-  GenLink learner(task_.Source(), task_.Target(), config);
-  Rng rng(5);
-  auto result = learner.Learn(task_.links, nullptr, rng);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->island_trajectories.size(), 3u);
-  bool any_difference = false;
-  for (size_t i = 1; i < result->island_trajectories.size(); ++i) {
-    if (result->island_trajectories[i].best_rule_sexpr !=
-        result->island_trajectories[0].best_rule_sexpr) {
-      any_difference = true;
-    }
-  }
-  EXPECT_TRUE(any_difference)
-      << "all islands evolved identical best rules from distinct streams";
-}
-
 // ------------------------------------------------- parent immutability
 
 TEST(ParentImmutabilityTest, CrossoverNeverMutatesParents) {

@@ -110,9 +110,25 @@ TEST_F(GenLinkEdgeTest, ZeroIterationsReturnsInitialBest) {
 // An empty population has no best rule to report: Learn must refuse it
 // by name instead of indexing into nothing.
 TEST_F(GenLinkEdgeTest, ZeroPopulationIsInvalidArgument) {
-  for (size_t islands : {1u, 2u}) {
+  GenLinkConfig config;
+  config.population_size = 0;
+  config.num_threads = 1;
+  GenLink learner(a_, b_, config);
+  Rng rng(2);
+  auto result = learner.Learn(links_, nullptr, rng);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("population_size"),
+            std::string::npos)
+      << result.status().ToString();
+}
+
+// Learn evolves exactly one population: any other island count is
+// refused by name rather than silently run as one.
+TEST_F(GenLinkEdgeTest, IslandCountOtherThanOneIsInvalidArgument) {
+  for (size_t islands : {0u, 2u}) {
     GenLinkConfig config;
-    config.population_size = 0;
+    config.population_size = 20;
     config.num_islands = islands;
     config.num_threads = 1;
     GenLink learner(a_, b_, config);
@@ -120,7 +136,7 @@ TEST_F(GenLinkEdgeTest, ZeroPopulationIsInvalidArgument) {
     auto result = learner.Learn(links_, nullptr, rng);
     ASSERT_FALSE(result.ok()) << islands << " islands";
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-    EXPECT_NE(result.status().message().find("population_size"),
+    EXPECT_NE(result.status().message().find("num_islands"),
               std::string::npos)
         << result.status().ToString();
   }

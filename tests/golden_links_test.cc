@@ -10,8 +10,9 @@
 // The same directory pins the learner: GoldenLearnTest records the
 // whole GenLink trajectory (initial mean F1, per-iteration train and
 // validation F1/MCC and operator counts as exact hex floats, and the
-// best rule) for a fixed seed on Restaurant and Cora. Any change to
-// the search's draw order, breeding or fitness shows up as a byte diff.
+// best rule) for a fixed seed on Restaurant and Cora, at 1, 4 and 8
+// threads. Any change to the search's draw order, breeding or fitness
+// shows up as a byte diff.
 //
 // The golden files live in tests/golden/ (path baked in via the
 // GENLINK_TEST_GOLDEN_DIR compile definition). To regenerate after an
@@ -186,6 +187,7 @@ void ExpectTrajectoryGolden(const MatchingTask& task, const std::string& name) {
   const std::string reference = LearnTrajectory(task, 1);
   ExpectMatchesGolden(reference, name);
   EXPECT_EQ(LearnTrajectory(task, 4), reference) << "at 4 threads";
+  EXPECT_EQ(LearnTrajectory(task, 8), reference) << "at 8 threads";
 }
 
 TEST(GoldenLearnTest, RestaurantTrajectory) {

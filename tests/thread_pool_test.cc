@@ -1,10 +1,10 @@
 // Edge cases of the worker pool (common/thread_pool.h): empty ranges,
 // the deterministic exception contract (every index runs, the smallest
 // failing index's exception is rethrown, identical for any thread
-// count), oversubscribed ParallelForEach, pool reuse after a batch
-// that threw, and several threads calling into one pool at once. The
-// happy paths are exercised constantly by the engine and island tests;
-// these are the paths only error handling and serving reach.
+// count), pool reuse after a batch that threw, and several threads
+// calling into one pool at once. The happy paths are exercised
+// constantly by the engine and learner tests; these are the paths only
+// error handling and serving reach.
 
 #include "common/thread_pool.h"
 
@@ -24,7 +24,6 @@ TEST(ThreadPoolTest, ZeroTasksReturnImmediately) {
   ThreadPool pool(4);
   std::atomic<size_t> calls{0};
   pool.ParallelFor(0, [&](size_t) { calls.fetch_add(1); });
-  pool.ParallelForEach(0, [&](size_t) { calls.fetch_add(1); });
   EXPECT_EQ(calls.load(), 0u);
 }
 
@@ -35,11 +34,7 @@ TEST(ThreadPoolTest, SingleTaskRunsInline) {
     EXPECT_EQ(i, 0u);
     calls.fetch_add(1);
   });
-  pool.ParallelForEach(1, [&](size_t i) {
-    EXPECT_EQ(i, 0u);
-    calls.fetch_add(1);
-  });
-  EXPECT_EQ(calls.load(), 2u);
+  EXPECT_EQ(calls.load(), 1u);
 }
 
 TEST(ThreadPoolTest, ExceptionFromTaskPropagatesToCaller) {
@@ -79,22 +74,6 @@ TEST(ThreadPoolTest, SmallestFailingIndexWinsForAnyThreadCount) {
   }
 }
 
-TEST(ThreadPoolTest, ParallelForEachSmallestFailingIndexWins) {
-  ThreadPool pool(4);
-  std::string caught;
-  try {
-    pool.ParallelForEach(16, [&](size_t i) {
-      if (i % 5 == 2) {  // fails at 2, 7, 12
-        throw std::invalid_argument("each " + std::to_string(i));
-      }
-    });
-    FAIL() << "expected a throw";
-  } catch (const std::invalid_argument& e) {
-    caught = e.what();
-  }
-  EXPECT_EQ(caught, "each 2");
-}
-
 TEST(ThreadPoolTest, NonExceptionThrowTypesPropagate) {
   ThreadPool pool(2);
   EXPECT_THROW(pool.ParallelFor(8,
@@ -102,16 +81,6 @@ TEST(ThreadPoolTest, NonExceptionThrowTypesPropagate) {
                                   if (i == 3) throw 42;  // not std::exception
                                 }),
                int);
-}
-
-TEST(ThreadPoolTest, ParallelForEachManyMoreTasksThanThreads) {
-  ThreadPool pool(2);
-  constexpr size_t kCount = 500;  // 250x oversubscribed
-  std::vector<std::atomic<int>> hits(kCount);
-  pool.ParallelForEach(kCount, [&](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < kCount; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
 }
 
 // A batch that threw must not poison the pool: no worker died, no
@@ -135,7 +104,7 @@ TEST(ThreadPoolTest, PoolIsReusableAfterThrowingBatch) {
   }
   // Clean batch after three throwing ones: full coverage, no throw.
   std::atomic<size_t> clean{0};
-  pool.ParallelForEach(64, [&](size_t) { clean.fetch_add(1); });
+  pool.ParallelFor(64, [&](size_t) { clean.fetch_add(1); });
   EXPECT_EQ(clean.load(), 64u);
 }
 
@@ -163,9 +132,8 @@ TEST(ThreadPoolTest, BackToBackCallsDoNotTouchFinishedCallState) {
   std::atomic<size_t> calls{0};
   for (int round = 0; round < 2000; ++round) {
     pool.ParallelFor(8, [&](size_t) { calls.fetch_add(1); });
-    pool.ParallelForEach(3, [&](size_t) { calls.fetch_add(1); });
   }
-  EXPECT_EQ(calls.load(), 2000u * 11u);
+  EXPECT_EQ(calls.load(), 2000u * 8u);
 }
 
 // Concurrent callers on one pool, the serving shape (every serve
@@ -190,9 +158,6 @@ TEST(ThreadPoolTest, ConcurrentCallersShareOnePool) {
         std::vector<std::atomic<int>> for_hits(64);
         pool.ParallelFor(64, [&](size_t i) { for_hits[i].fetch_add(1); });
         check(for_hits);
-        std::vector<std::atomic<int>> each_hits(8);
-        pool.ParallelForEach(8, [&](size_t i) { each_hits[i].fetch_add(1); });
-        check(each_hits);
       }
     });
   }

@@ -157,10 +157,6 @@ const std::vector<CommandSpec>& Commands() {
            {"seed", "N", "random seed (default 42)"},
            {"threads", "N", "worker threads, 0 = hardware (default 0)"},
            {"id-column", "NAME", "CSV id column (default 'id')"},
-           {"islands", "N", "independent populations (default 1)"},
-           {"migration-interval", "N",
-            "generations between island migrations (default 5)"},
-           {"migration-size", "N", "rules migrated per interval (default 3)"},
            {"match", "FILE",
             "after learning, link the FULL datasets with the learned rule "
             "and write them (.nt = owl:sameAs, else CSV with scores)"},
@@ -168,10 +164,7 @@ const std::vector<CommandSpec>& Commands() {
             "similarity threshold for --match and --save-artifact "
             "(default 0.5)"},
        },
-       "learn --islands evolves N independent populations in parallel\n"
-       "(ring migration every --migration-interval generations, top\n"
-       "--migration-size rules to the next island; 1 = the paper's\n"
-       "single-population algorithm)"},
+       nullptr},
       {"match",
        "one-shot link generation: execute a rule over two datasets",
        {
@@ -569,11 +562,6 @@ int RunLearn(const Args& args) {
   if (!FlagAsCount(args, "learn", "population", 1, &config.population_size) ||
       !FlagAsCount(args, "learn", "iterations", 1, &config.max_iterations) ||
       !FlagAsCount(args, "learn", "threads", 0, &config.num_threads) ||
-      !FlagAsCount(args, "learn", "islands", 1, &config.num_islands) ||
-      !FlagAsCount(args, "learn", "migration-interval", 0,
-                   &config.migration_interval) ||
-      !FlagAsCount(args, "learn", "migration-size", 0,
-                   &config.migration_size) ||
       !FlagAsCount(args, "learn", "seed", 0, &seed_value) ||
       !FlagAsDouble(args, "learn", "match-threshold",
                     &match_options.threshold)) {
