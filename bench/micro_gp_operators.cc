@@ -5,6 +5,7 @@
 
 #include "gp/crossover.h"
 #include "gp/rule_generator.h"
+#include "rule/rule_hash.h"
 #include "rule/serialize.h"
 
 namespace genlink {
@@ -40,14 +41,14 @@ void BM_RuleClone(benchmark::State& state) {
 }
 BENCHMARK(BM_RuleClone);
 
-void BM_StructuralHash(benchmark::State& state) {
+void BM_CanonicalRuleHash(benchmark::State& state) {
   Rng rng(3);
   LinkageRule rule = Generator().RandomRule(rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(rule.StructuralHash());
+    benchmark::DoNotOptimize(CanonicalRuleHash(rule));
   }
 }
-BENCHMARK(BM_StructuralHash);
+BENCHMARK(BM_CanonicalRuleHash);
 
 void BM_Serialize(benchmark::State& state) {
   Rng rng(4);

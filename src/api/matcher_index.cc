@@ -300,14 +300,12 @@ Status MatcherIndex::CompileMapped(std::vector<PlanId>& target_plans) {
   }
 
   // Every target-side value subtree must resolve to a plan the artifact
-  // carries. The directory is keyed by the cross-process-stable hash
-  // (rule/rule_hash.h) — the in-process ValueOperatorHash mixes
-  // function-instance pointers and would never match a file written by
-  // another process. A miss means the artifact predates this rule.
+  // carries, keyed by ValueOperatorHash (rule/rule_hash.h) as in the
+  // value store. A miss means the artifact predates this rule.
   target_plans.reserve(program_.sites().size());
   for (const RuleProgram::Site& site : program_.sites()) {
     const std::optional<PlanId> plan =
-        mapped.FindPlan(StableValueOperatorHash(*site.op->target()));
+        mapped.FindPlan(ValueOperatorHash(*site.op->target()));
     if (!plan.has_value()) {
       return Status::FailedPrecondition(
           "corpus artifact '" + mapped.path() +

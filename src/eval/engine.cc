@@ -136,7 +136,7 @@ void EvaluationEngine::EvaluateBatch(std::span<const LinkageRule* const> rules,
   std::vector<std::pair<size_t, size_t>> duplicates;  // (batch idx, pending idx)
   for (size_t i = 0; i < rules.size(); ++i) {
     ++stats_.rules_evaluated;
-    RuleHashInfo info = hasher_.Analyze(*rules[i]);
+    RuleHashInfo info = AnalyzeRule(*rules[i]);
     if (const FitnessResult* hit = fitness_cache_.Find(info.canonical)) {
       results[i] = *hit;
       ++stats_.fitness_hits;
@@ -152,8 +152,6 @@ void EvaluationEngine::EvaluateBatch(std::span<const LinkageRule* const> rules,
     ++stats_.fitness_misses;
     pending.push_back({i, std::move(info)});
   }
-  stats_.subtree_probes = hasher_.subtree_probes();
-  stats_.subtree_hits = hasher_.subtree_hits();
   if (pending.empty()) return;
 
   // Phase 2 (serial): collect the batch's distinct comparison

@@ -6,9 +6,9 @@
 // This engine makes that hot path fast without changing a single bit of
 // the results:
 //
-//   1. Fitness memo — FitnessResults are cached behind the canonical
-//      structural hash of the rule (rule/rule_hash.h), so a rule bred a
-//      second time in a later generation is never re-evaluated.
+//   1. Fitness memo — FitnessResults are cached behind the rule's
+//      CanonicalRuleHash (rule/rule_hash.h), so a rule bred a second
+//      time in a later generation is never re-evaluated.
 //   2. Distance cache — for every *comparison signature* (distance
 //      measure x source value subtree x target value subtree, threshold
 //      and weight excluded) the engine precomputes the raw distance of
@@ -42,8 +42,8 @@
 //
 // The "caches are only touched in the serial phases" discipline is not
 // just documented — it is statically enforced. The engine's shared
-// mutable state (fitness memo, distance-row map, hasher, stats
-// counters) is GENLINK_GUARDED_BY(serial_phase_), a zero-cost PhaseRole
+// mutable state (fitness memo, distance-row map, stats counters) is
+// GENLINK_GUARDED_BY(serial_phase_), a zero-cost PhaseRole
 // capability (common/mutex.h): EvaluateBatch holds it in the serial
 // stretches, worker-task lambdas are analyzed as separate functions
 // that do not, so an accidental cache access from a parallel section
@@ -92,9 +92,6 @@ struct EngineStats {
   /// Distance rows computed (one row = all training pairs for one
   /// comparison signature).
   uint64_t distance_rows_computed = 0;
-  /// Subtree hash-consing telemetry (structure reuse across the run).
-  uint64_t subtree_probes = 0;
-  uint64_t subtree_hits = 0;
   /// Value-store telemetry: transform plans materialized (each runs its
   /// subtree once per entity) vs compile requests served by an existing
   /// plan, and total strings interned.
@@ -194,7 +191,6 @@ class EvaluationEngine {
   /// EvaluateBatch's serial stretches, never by worker tasks. Mutable
   /// so the const stats() accessor can take the (zero-cost) guard.
   mutable PhaseRole serial_phase_;
-  RuleHasher hasher_ GENLINK_GUARDED_BY(serial_phase_);
   FitnessCache fitness_cache_ GENLINK_GUARDED_BY(serial_phase_);
   /// comparison signature -> raw distance per training pair. The map
   /// structure is serial-phase state; the row *contents* a parallel

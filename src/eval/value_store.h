@@ -3,12 +3,13 @@
 // MatcherIndex (api/matcher_index.h).
 //
 // A *transform plan* is one value subtree of a linkage rule (a chain of
-// transformations over property operators), canonicalized by its
-// structural hash (rule/rule_hash.h, ValueOperatorHash) and evaluated
-// ONCE per entity of its side instead of once per entity *pair*:
-// O(|A| + |B|) transform work where the operator-tree path pays
-// O(|A| x |B|). The resulting value sets are interned into a shared
-// string pool, so the distance phase reads
+// transformations over property operators), keyed by its
+// ValueOperatorHash (rule/rule_hash.h) — the key a corpus artifact's
+// plan directory stores too — and evaluated ONCE per entity of its
+// side instead of once per entity *pair*: O(|A| + |B|) transform work
+// where the operator-tree path pays O(|A| x |B|). The resulting value
+// sets are interned into a shared string pool, so the distance phase
+// reads
 //
 //   * spans of pooled string_views (per-value measures: Levenshtein,
 //     Jaro, numeric, ...), and
@@ -119,8 +120,8 @@ class ValueReader {
 
   virtual size_t num_entities() const = 0;
 
-  /// The plan compiled for a value subtree with the given structural
-  /// hash (rule/rule_hash.h ValueOperatorHash), or nullopt when no such
+  /// The plan compiled for a value subtree with the given
+  /// ValueOperatorHash (rule/rule_hash.h), or nullopt when no such
   /// subtree was compiled — for a mapped corpus: was not precomputed
   /// into the artifact.
   virtual std::optional<PlanId> FindPlan(uint64_t hash) const = 0;

@@ -20,6 +20,7 @@
 #include "eval/metrics.h"
 #include "gp/genlink.h"
 #include "gp/selection.h"
+#include "rule/rule_hash.h"
 #include "rule/serialize.h"
 
 namespace genlink {
@@ -116,14 +117,14 @@ void BreedNextGeneration(
     }
   }
 
-  // Structural hashes already present in the next generation.
+  // Rule hashes (CanonicalRuleHash) already in the next generation.
   // Suppressing duplicates keeps the population diverse: without it,
   // tournament selection floods the population with copies of the
   // current best rule within a few generations and recombination has
   // no material left to discover multi-comparison rules.
   std::unordered_set<uint64_t> seen;
   for (const auto& individual : next.individuals()) {
-    seen.insert(individual.rule.StructuralHash());
+    seen.insert(CanonicalRuleHash(individual.rule));
   }
 
   while (next.size() < config.population_size) {
@@ -156,7 +157,7 @@ void BreedNextGeneration(
         // Keep the Silk invariant: rules are aggregation-rooted, so
         // that operators crossover can always recombine comparisons.
         EnsureAggregationRoot(*bred, generator.RandomAggregationFunction(rng));
-        if (!seen.insert(bred->StructuralHash()).second) continue;
+        if (!seen.insert(CanonicalRuleHash(*bred)).second) continue;
         child = std::move(*bred);
         produced = true;
       }
@@ -165,7 +166,7 @@ void BreedNextGeneration(
       // Fall back to a fresh random rule rather than a clone: clones
       // would reintroduce exactly the duplicates we just rejected.
       child = generator.RandomRule(rng);
-      seen.insert(child.StructuralHash());
+      seen.insert(CanonicalRuleHash(child));
     }
     next.Add(Individual{std::move(child), {}, false});
   }
@@ -232,7 +233,7 @@ Result<LearnResult> GenLink::Learn(const ReferenceLinkSet& train,
   result.initial_population_mean_f1 =
       f1_sum / static_cast<double>(population.size());
 
-  // Validation scores of previously seen best rules (structural hash ->
+  // Validation scores of previously seen best rules (rule hash ->
   // {val_f1, val_mcc}). The per-generation best rule rarely changes, so
   // this memo removes almost all validation scoring from the
   // per-iteration stats; the values are bit-identical, just not
@@ -252,7 +253,7 @@ Result<LearnResult> GenLink::Learn(const ReferenceLinkSet& train,
     stats.mean_operators = population.MeanOperatorCount();
     stats.best_operators = static_cast<double>(best.rule.OperatorCount());
     if (!setup->val_pairs.empty()) {
-      auto [it, missing] = val_memo.try_emplace(best.rule.StructuralHash());
+      auto [it, missing] = val_memo.try_emplace(CanonicalRuleHash(best.rule));
       if (missing) {
         ConfusionMatrix cm = EvaluateRuleOnPairs(best.rule, setup->val_pairs,
                                                  a.schema(), b.schema());

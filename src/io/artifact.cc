@@ -1,5 +1,6 @@
 #include "io/artifact.h"
 
+#include <cmath>
 #include <unordered_set>
 #include <utility>
 
@@ -106,7 +107,8 @@ Result<RuleArtifact> ReadRuleArtifact(std::string_view text) {
     if (key == "name") {
       artifact.name = std::string(value);
     } else if (key == "threshold") {
-      if (!ParseDouble(value, &artifact.options.threshold)) {
+      if (!ParseDouble(value, &artifact.options.threshold) ||
+          !std::isfinite(artifact.options.threshold)) {
         return Status::ParseError("artifact: bad threshold '" +
                                   std::string(value) + "'");
       }

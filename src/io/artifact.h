@@ -15,8 +15,10 @@
 //   ---
 //   <LinkageRule> ... </LinkageRule>
 //
-// Header keys may appear in any order; unknown keys and unknown
-// versions are errors (the version line is how v2 gets room to grow).
+// Header keys may appear in any order; unknown keys, unknown versions,
+// a threshold that is not a finite number and a rule that fails
+// LinkageRule::Validate are errors (the version line is how v2 gets
+// room to grow).
 // Artifacts from older builds may also carry `use-value-store: 1`,
 // which is accepted and ignored; `use-value-store: 0` named an
 // execution path that no longer exists and is rejected.

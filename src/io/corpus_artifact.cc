@@ -227,14 +227,12 @@ Status WriteCorpusArtifact(const std::string& path, const Dataset& target,
   const uint64_t n = target.size();
   const uint64_t num_plans = store.NumPlans(ValueStore::Side::kTarget);
 
-  // Plan directory hashes, one per plan from the subtree that
-  // registered it. The store is keyed by the in-process
-  // ValueOperatorHash; the file stores the cross-process-stable hash —
-  // the one a later `--index` consumer can recompute from a freshly
-  // parsed rule.
+  // Plan directory hashes: the ValueOperatorHash that keys each plan
+  // in the store, which a later `--index` consumer recomputes from a
+  // freshly parsed rule.
   std::vector<uint64_t> plan_hash(num_plans, 0);
   for (size_t k = 0; k < target_ops.size(); ++k) {
-    plan_hash[target_plans[k]] = StableValueOperatorHash(*target_ops[k]);
+    plan_hash[target_plans[k]] = ValueOperatorHash(*target_ops[k]);
   }
 
   // String table: the store pool verbatim (ids [0, NumStrings()) must
@@ -375,7 +373,7 @@ Status WriteCorpusArtifact(const std::string& path, const Dataset& target,
   // A retired field (hash-sharded postings); kept so the layout and
   // version stay put. Always 1, checked for sanity on load, else unused.
   header.blocking_shards = 1;
-  header.rule_hash = StableRuleHash(rule);
+  header.rule_hash = CanonicalRuleHash(rule);
 
   std::string_view sections[kNumSections];
   sections[kStringOffsets] = PodView(string_offsets);

@@ -30,16 +30,15 @@
 //   PostingOffsets u64[T+1]     token -> range in Postings
 //   Postings       u32[..]      entity indexes, ascending per token
 //
-// The plan directory keys each plan by its cross-process-stable
-// structural hash (rule/rule_hash.h StableValueOperatorHash — the
-// in-process ValueOperatorHash mixes instance pointers and cannot key
-// a file), so a loaded corpus can serve
-// any rule whose target-side value subtrees were precomputed —
-// MatcherIndex resolves plans via ValueReader::FindPlan and fails with
-// a named error (re-run `genlink index`) on a miss. Value ids, spans
-// and interning order are exactly those of the value store a fresh
-// MatcherIndex::Build compiles, which is what makes mapped query
-// results bit-identical to a fresh build.
+// The plan directory keys each plan by the hash that keys it in the
+// value store (rule/rule_hash.h ValueOperatorHash, name-based and so
+// equal in every process that parses the same rule), so a loaded
+// corpus can serve any rule whose target-side value subtrees were
+// precomputed — MatcherIndex resolves plans via ValueReader::FindPlan
+// and fails with a named error (re-run `genlink index`) on a miss.
+// Value ids, spans and interning order are exactly those of the value
+// store a fresh MatcherIndex::Build compiles, which is what makes
+// mapped query results bit-identical to a fresh build.
 //
 // Versioning: the magic pins the family, `version` the layout; readers
 // reject any version they do not know (and name a byte-swapped
@@ -174,7 +173,7 @@ class MappedCorpus final : public ValueReader {
   size_t blocking_max_tokens() const { return blocking_max_tokens_; }
   size_t blocking_min_token_df() const { return blocking_min_token_df_; }
 
-  /// StableRuleHash of the rule the artifact was indexed for
+  /// CanonicalRuleHash of the rule the artifact was indexed for
   /// (provenance; serving any rule whose plans are present is allowed).
   uint64_t rule_hash() const { return rule_hash_; }
   size_t num_plans() const { return num_plans_; }

@@ -216,22 +216,4 @@ std::vector<std::string> TargetProperties(const LinkageRule& rule) {
   return CollectSideProperties(rule, /*source_side=*/false);
 }
 
-double BlockingRecall(const BlockingIndex& index, const Dataset& a_set,
-                      const Dataset& b_set, const ReferenceLinkSet& links) {
-  if (links.positives().empty()) return 1.0;
-  size_t found = 0;
-  for (const ReferenceLink& link : links.positives()) {
-    const Entity* a = a_set.FindEntity(link.id_a);
-    if (a == nullptr) continue;
-    for (size_t j : index.Candidates(*a, a_set.schema())) {
-      if (b_set.entity(j).id() == link.id_b) {
-        ++found;
-        break;
-      }
-    }
-  }
-  return static_cast<double>(found) /
-         static_cast<double>(links.positives().size());
-}
-
 }  // namespace genlink

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "model/dataset.h"
-#include "model/reference_links.h"
 #include "rule/linkage_rule.h"
 
 namespace genlink {
@@ -142,16 +141,6 @@ std::vector<std::string> EntityBlockingKeys(
 /// (from its property operators).
 std::vector<std::string> SourceProperties(const LinkageRule& rule);
 std::vector<std::string> TargetProperties(const LinkageRule& rule);
-
-/// Blocking recall on reference links: the fraction of positive links
-/// (a, b) whose target entity b appears in `index.Candidates(a)`, where
-/// `index` was built over dataset `b_set` and `a` lives in `a_set`.
-/// 1.0 means the index never discards a known match (the soundness
-/// criterion the matcher relies on; asserted on the Restaurant data by
-/// tests/blocking_soundness_test.cc). Links whose entities cannot be
-/// resolved are counted as missed.
-double BlockingRecall(const BlockingIndex& index, const Dataset& a_set,
-                      const Dataset& b_set, const ReferenceLinkSet& links);
 
 }  // namespace genlink
 

@@ -1,5 +1,10 @@
 #include "rule/linkage_rule.h"
 
+#include <cmath>
+#include <string>
+
+#include "common/string_util.h"
+
 namespace genlink {
 namespace {
 
@@ -37,8 +42,10 @@ Status ValidateValue(const ValueOperator* op) {
 
 Status ValidateSimilarity(const SimilarityOperator* op) {
   if (op == nullptr) return Status::Internal("null similarity operator");
-  if (op->weight() <= 0.0) {
-    return Status::InvalidArgument("operator weight must be positive");
+  if (!std::isfinite(op->weight()) || op->weight() <= 0.0) {
+    return Status::InvalidArgument(
+        "operator weight must be a finite positive number, got " +
+        FormatDoubleExact(op->weight()));
   }
   switch (op->kind()) {
     case OperatorKind::kComparison: {
@@ -46,8 +53,10 @@ Status ValidateSimilarity(const SimilarityOperator* op) {
       if (cmp->measure() == nullptr) {
         return Status::InvalidArgument("comparison without distance measure");
       }
-      if (cmp->threshold() < 0.0) {
-        return Status::InvalidArgument("comparison threshold must be >= 0");
+      if (!std::isfinite(cmp->threshold()) || cmp->threshold() < 0.0) {
+        return Status::InvalidArgument(
+            "comparison threshold must be a finite number >= 0, got " +
+            FormatDoubleExact(cmp->threshold()));
       }
       if (cmp->source() == nullptr || cmp->target() == nullptr) {
         return Status::InvalidArgument("comparison missing a value operator");

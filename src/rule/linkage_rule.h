@@ -1,7 +1,8 @@
 // LinkageRule: the unit the learner evolves and the matcher executes
 // (Definition 3 of the paper). Wraps the root similarity operator and
 // provides tree-wide utilities (validation, node collection for the
-// genetic operators, structural hashing).
+// genetic operators). Rule and subtree identity (breeding dedup, the
+// fitness memo, plan keys) is decided by the hashes of rule/rule_hash.h.
 
 #ifndef GENLINK_RULE_LINKAGE_RULE_H_
 #define GENLINK_RULE_LINKAGE_RULE_H_
@@ -57,14 +58,10 @@ class LinkageRule {
   /// Total number of operators (used by the parsimony pressure).
   size_t OperatorCount() const { return root_ ? root_->CountOperators() : 0; }
 
-  /// Structural hash for fitness caching and duplicate detection.
-  uint64_t StructuralHash() const {
-    return root_ ? root_->StructuralHash() : 0;
-  }
-
   /// Checks the strong typing constraints of Figure 1: non-null children,
   /// transformation arity respected, aggregations non-empty, thresholds
-  /// non-negative, weights positive.
+  /// finite and non-negative, weights finite and positive. Both rule
+  /// parsers (rule/parse.h, rule/xml.h) return its status.
   Status Validate() const;
 
  private:

@@ -1,7 +1,5 @@
 #include "rule/operators.h"
 
-#include "common/hash.h"
-
 namespace genlink {
 
 // ---------------------------------------------------------------- Property
@@ -23,10 +21,6 @@ const ValueSet& PropertyOperator::EvaluateRef(const Entity& e,
 
 std::unique_ptr<ValueOperator> PropertyOperator::Clone() const {
   return std::make_unique<PropertyOperator>(property_);
-}
-
-uint64_t PropertyOperator::StructuralHash() const {
-  return HashCombine(0x01, HashBytes(property_));
 }
 
 // --------------------------------------------------------------- Transform
@@ -56,12 +50,6 @@ size_t TransformOperator::CountOperators() const {
   size_t n = 1;
   for (const auto& op : inputs_) n += op->CountOperators();
   return n;
-}
-
-uint64_t TransformOperator::StructuralHash() const {
-  uint64_t h = HashCombine(0x02, HashBytes(function_->name()));
-  for (const auto& op : inputs_) h = HashCombine(h, op->StructuralHash());
-  return h;
 }
 
 // -------------------------------------------------------------- Comparison
@@ -96,15 +84,6 @@ std::unique_ptr<SimilarityOperator> ComparisonOperator::Clone() const {
 
 size_t ComparisonOperator::CountOperators() const {
   return 1 + source_->CountOperators() + target_->CountOperators();
-}
-
-uint64_t ComparisonOperator::StructuralHash() const {
-  uint64_t h = HashCombine(0x03, HashBytes(measure_->name()));
-  h = HashCombine(h, HashDouble(threshold_));
-  h = HashCombine(h, HashDouble(weight_));
-  h = HashCombine(h, source_->StructuralHash());
-  h = HashCombine(h, target_->StructuralHash());
-  return h;
 }
 
 // ------------------------------------------------------------- Aggregation
@@ -152,13 +131,6 @@ size_t AggregationOperator::CountOperators() const {
   size_t n = 1;
   for (const auto& op : operands_) n += op->CountOperators();
   return n;
-}
-
-uint64_t AggregationOperator::StructuralHash() const {
-  uint64_t h = HashCombine(0x04, HashBytes(function_->name()));
-  h = HashCombine(h, HashDouble(weight_));
-  for (const auto& op : operands_) h = HashCombine(h, op->StructuralHash());
-  return h;
 }
 
 }  // namespace genlink

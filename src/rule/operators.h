@@ -6,12 +6,13 @@
 //
 // A comparison holds one source-side and one target-side value operator;
 // an aggregation holds similarity operators and may be nested, which is
-// what makes the representation non-linear.
+// what makes the representation non-linear. Whether two operator
+// subtrees are the same is decided by the name-based hashes of
+// rule/rule_hash.h.
 
 #ifndef GENLINK_RULE_OPERATORS_H_
 #define GENLINK_RULE_OPERATORS_H_
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -61,9 +62,6 @@ class ValueOperator {
 
   /// Number of operators in this subtree (for parsimony pressure).
   virtual size_t CountOperators() const = 0;
-
-  /// Structural hash over kinds, function names and parameters.
-  virtual uint64_t StructuralHash() const = 0;
 };
 
 /// Retrieves all values of a property (Definition 5). Unknown properties
@@ -82,7 +80,6 @@ class PropertyOperator : public ValueOperator {
                               ValueSet& scratch) const override;
   std::unique_ptr<ValueOperator> Clone() const override;
   size_t CountOperators() const override { return 1; }
-  uint64_t StructuralHash() const override;
 
  private:
   std::string property_;
@@ -108,7 +105,6 @@ class TransformOperator : public ValueOperator {
   ValueSet Evaluate(const Entity& e, const Schema& schema) const override;
   std::unique_ptr<ValueOperator> Clone() const override;
   size_t CountOperators() const override;
-  uint64_t StructuralHash() const override;
 
  private:
   const Transformation* function_;
@@ -131,7 +127,6 @@ class SimilarityOperator {
 
   virtual std::unique_ptr<SimilarityOperator> Clone() const = 0;
   virtual size_t CountOperators() const = 0;
-  virtual uint64_t StructuralHash() const = 0;
 
   double weight() const { return weight_; }
   void set_weight(double weight) { weight_ = weight; }
@@ -166,7 +161,6 @@ class ComparisonOperator : public SimilarityOperator {
                   const Schema& schema_b) const override;
   std::unique_ptr<SimilarityOperator> Clone() const override;
   size_t CountOperators() const override;
-  uint64_t StructuralHash() const override;
 
  private:
   std::unique_ptr<ValueOperator> source_;
@@ -198,7 +192,6 @@ class AggregationOperator : public SimilarityOperator {
                   const Schema& schema_b) const override;
   std::unique_ptr<SimilarityOperator> Clone() const override;
   size_t CountOperators() const override;
-  uint64_t StructuralHash() const override;
 
  private:
   const AggregationFunction* function_;

@@ -96,7 +96,9 @@ class Parser {
     if (current_.type != Token::Type::kEnd) {
       return Status::ParseError("trailing input after rule");
     }
-    return LinkageRule(std::move(root).value());
+    LinkageRule rule(std::move(root).value());
+    GENLINK_RETURN_IF_ERROR(rule.Validate());
+    return rule;
   }
 
  private:

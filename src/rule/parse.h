@@ -13,7 +13,10 @@
 namespace genlink {
 
 /// Parses a serialized linkage rule. Function names are resolved against
-/// the given registries (defaults: the built-in registries).
+/// the given registries (defaults: the built-in registries). A rule that
+/// parses but fails LinkageRule::Validate (a NaN, infinite or negative
+/// threshold, a weight that is not finite and positive, ...) returns
+/// Validate's status.
 Result<LinkageRule> ParseRule(
     std::string_view text,
     const DistanceRegistry& distances = DistanceRegistry::Default(),

@@ -7,31 +7,42 @@
 namespace genlink {
 namespace {
 
-// Distance measures, transformations and aggregation functions are
-// identified by name AND instance: name() alone would alias two
-// same-named instances constructed with different parameters (e.g. two
-// NumericDistance objects with different ranges), and a comparison
-// signature collision would hand one of them the other's cached
-// distance row. Mixing the pointer in keeps identity exact; it also
-// means hashes are only stable within a process, which is all the
-// engine's caches need.
-template <typename T>
-uint64_t HashFunctionIdentity(uint64_t seed, const T* function) {
-  uint64_t h = HashCombine(seed, HashBytes(function->name()));
-  return HashCombine(h, static_cast<uint64_t>(
-                            reinterpret_cast<uintptr_t>(function)));
+// Domain-separation tags, one per operator kind.
+constexpr uint64_t kTagProperty = 0x2545F4914F6CDD1DULL;
+constexpr uint64_t kTagTransform = 0x9E6C63D0876A9A47ULL;
+constexpr uint64_t kTagComparison = 0xBF58476D1CE4E5B9ULL;
+constexpr uint64_t kTagAggregation = 0x94D049BB133111EBULL;
+
+// `sites` may be null (CanonicalRuleHash needs no site list).
+uint64_t HashSimilarity(const SimilarityOperator& op,
+                        std::vector<ComparisonSite>* sites) {
+  switch (op.kind()) {
+    case OperatorKind::kComparison: {
+      const auto& cmp = static_cast<const ComparisonOperator&>(op);
+      const uint64_t signature = ComparisonSignature(cmp);
+      if (sites != nullptr) sites->push_back({&cmp, signature});
+      const uint64_t h = HashCombine(signature, HashDouble(cmp.threshold()));
+      return HashCombine(h, HashDouble(cmp.weight()));
+    }
+    case OperatorKind::kAggregation: {
+      const auto& agg = static_cast<const AggregationOperator&>(op);
+      uint64_t h =
+          HashCombine(kTagAggregation, HashBytes(agg.function()->name()));
+      h = HashCombine(h, HashDouble(agg.weight()));
+      h = HashCombine(h, agg.operands().size());
+      for (const auto& operand : agg.operands()) {
+        h = HashCombine(h, HashSimilarity(*operand, sites));
+      }
+      return h;
+    }
+    default:
+      return 0;  // unreachable: similarity operators are comparison/aggregation
+  }
 }
 
-// Domain-separation tags. Distinct from the small constants used by the
-// legacy per-node StructuralHash so the two hash families never collide
-// by construction.
-constexpr uint64_t kTagProperty = 0x9E3779B97F4A7C15ULL;
-constexpr uint64_t kTagTransform = 0xC2B2AE3D27D4EB4FULL;
-constexpr uint64_t kTagComparison = 0x165667B19E3779F9ULL;
-constexpr uint64_t kTagAggregation = 0x27D4EB2F165667C5ULL;
-constexpr uint64_t kTagSignature = 0x85EBCA77C2B2AE63ULL;
+}  // namespace
 
-uint64_t HashValueOp(const ValueOperator& op) {
+uint64_t ValueOperatorHash(const ValueOperator& op) {
   switch (op.kind()) {
     case OperatorKind::kProperty: {
       const auto& prop = static_cast<const PropertyOperator&>(op);
@@ -39,167 +50,35 @@ uint64_t HashValueOp(const ValueOperator& op) {
     }
     case OperatorKind::kTransform: {
       const auto& transform = static_cast<const TransformOperator&>(op);
-      uint64_t h = HashFunctionIdentity(kTagTransform, transform.function());
+      uint64_t h =
+          HashCombine(kTagTransform, HashBytes(transform.function()->name()));
       h = HashCombine(h, transform.inputs().size());
       for (const auto& input : transform.inputs()) {
-        h = HashCombine(h, HashValueOp(*input));
+        h = HashCombine(h, ValueOperatorHash(*input));
       }
       return h;
     }
     default:
       return 0;  // unreachable: value operators are property or transform
   }
-}
-
-// `hasher` may be null (pure AnalyzeRule / CanonicalRuleHash paths).
-uint64_t HashSimilarityOp(const SimilarityOperator& op,
-                          std::vector<ComparisonSite>* sites,
-                          RuleHasher* hasher);
-
-uint64_t HashChildren(const AggregationOperator& agg,
-                      std::vector<ComparisonSite>* sites, RuleHasher* hasher) {
-  uint64_t h = agg.operands().size();
-  for (const auto& operand : agg.operands()) {
-    h = HashCombine(h, HashSimilarityOp(*operand, sites, hasher));
-  }
-  return h;
-}
-
-uint64_t HashSimilarityOp(const SimilarityOperator& op,
-                          std::vector<ComparisonSite>* sites,
-                          RuleHasher* hasher) {
-  uint64_t h = 0;
-  switch (op.kind()) {
-    case OperatorKind::kComparison: {
-      const auto& cmp = static_cast<const ComparisonOperator&>(op);
-      uint64_t signature = ComparisonSignature(cmp);
-      if (sites != nullptr) sites->push_back({&cmp, signature});
-      h = HashCombine(kTagComparison, signature);
-      h = HashCombine(h, HashDouble(cmp.threshold()));
-      h = HashCombine(h, HashDouble(cmp.weight()));
-      break;
-    }
-    case OperatorKind::kAggregation: {
-      const auto& agg = static_cast<const AggregationOperator&>(op);
-      h = HashFunctionIdentity(kTagAggregation, agg.function());
-      h = HashCombine(h, HashDouble(agg.weight()));
-      h = HashCombine(h, HashChildren(agg, sites, hasher));
-      break;
-    }
-    default:
-      break;  // unreachable: similarity operators are comparison/aggregation
-  }
-  if (hasher != nullptr) hasher->Intern(h);
-  return h;
-}
-
-// ---- Cross-process-stable family (corpus artifacts). Functions are
-// identified by registered name only — correct exactly for rules that
-// round-trip through serialization, where the name is the complete
-// identity. Fresh domain tags keep this family disjoint from the
-// in-process one above.
-constexpr uint64_t kStableTagProperty = 0x2545F4914F6CDD1DULL;
-constexpr uint64_t kStableTagTransform = 0x9E6C63D0876A9A47ULL;
-constexpr uint64_t kStableTagComparison = 0xBF58476D1CE4E5B9ULL;
-constexpr uint64_t kStableTagAggregation = 0x94D049BB133111EBULL;
-
-uint64_t StableHashValueOp(const ValueOperator& op) {
-  switch (op.kind()) {
-    case OperatorKind::kProperty: {
-      const auto& prop = static_cast<const PropertyOperator&>(op);
-      return HashCombine(kStableTagProperty, HashBytes(prop.property()));
-    }
-    case OperatorKind::kTransform: {
-      const auto& transform = static_cast<const TransformOperator&>(op);
-      uint64_t h = HashCombine(kStableTagTransform,
-                               HashBytes(transform.function()->name()));
-      h = HashCombine(h, transform.inputs().size());
-      for (const auto& input : transform.inputs()) {
-        h = HashCombine(h, StableHashValueOp(*input));
-      }
-      return h;
-    }
-    default:
-      return 0;  // unreachable: value operators are property or transform
-  }
-}
-
-uint64_t StableHashSimilarityOp(const SimilarityOperator& op) {
-  switch (op.kind()) {
-    case OperatorKind::kComparison: {
-      const auto& cmp = static_cast<const ComparisonOperator&>(op);
-      uint64_t h = HashCombine(kStableTagComparison,
-                               HashBytes(cmp.measure()->name()));
-      h = HashCombine(h, StableHashValueOp(*cmp.source()));
-      h = HashCombine(h, StableHashValueOp(*cmp.target()));
-      h = HashCombine(h, HashDouble(cmp.threshold()));
-      return HashCombine(h, HashDouble(cmp.weight()));
-    }
-    case OperatorKind::kAggregation: {
-      const auto& agg = static_cast<const AggregationOperator&>(op);
-      uint64_t h = HashCombine(kStableTagAggregation,
-                               HashBytes(agg.function()->name()));
-      h = HashCombine(h, HashDouble(agg.weight()));
-      h = HashCombine(h, agg.operands().size());
-      for (const auto& operand : agg.operands()) {
-        h = HashCombine(h, StableHashSimilarityOp(*operand));
-      }
-      return h;
-    }
-    default:
-      return 0;  // unreachable
-  }
-}
-
-}  // namespace
-
-uint64_t ValueOperatorHash(const ValueOperator& op) { return HashValueOp(op); }
-
-uint64_t StableValueOperatorHash(const ValueOperator& op) {
-  return StableHashValueOp(op);
-}
-
-uint64_t StableRuleHash(const LinkageRule& rule) {
-  if (rule.empty()) return 0;
-  return StableHashSimilarityOp(*rule.root());
 }
 
 uint64_t ComparisonSignature(const ComparisonOperator& op) {
-  uint64_t h = HashFunctionIdentity(kTagSignature, op.measure());
-  h = HashCombine(h, HashValueOp(*op.source()));
-  h = HashCombine(h, HashValueOp(*op.target()));
-  return h;
+  uint64_t h = HashCombine(kTagComparison, HashBytes(op.measure()->name()));
+  h = HashCombine(h, ValueOperatorHash(*op.source()));
+  return HashCombine(h, ValueOperatorHash(*op.target()));
 }
 
 uint64_t CanonicalRuleHash(const LinkageRule& rule) {
-  if (rule.empty()) return 0;
-  return HashSimilarityOp(*rule.root(), nullptr, nullptr);
+  return rule.empty() ? 0 : HashSimilarity(*rule.root(), nullptr);
 }
 
 RuleHashInfo AnalyzeRule(const LinkageRule& rule) {
   RuleHashInfo info;
-  if (rule.empty()) return info;
-  info.canonical = HashSimilarityOp(*rule.root(), &info.comparisons, nullptr);
+  if (!rule.empty()) {
+    info.canonical = HashSimilarity(*rule.root(), &info.comparisons);
+  }
   return info;
-}
-
-RuleHashInfo RuleHasher::Analyze(const LinkageRule& rule) {
-  RuleHashInfo info;
-  if (rule.empty()) return info;
-  info.canonical = HashSimilarityOp(*rule.root(), &info.comparisons, this);
-  return info;
-}
-
-void RuleHasher::Intern(uint64_t subtree_hash) {
-  ++probes_;
-  if (interned_.size() >= max_entries_) interned_.clear();
-  if (!interned_.insert(subtree_hash).second) ++hits_;
-}
-
-void RuleHasher::Clear() {
-  interned_.clear();
-  probes_ = 0;
-  hits_ = 0;
 }
 
 }  // namespace genlink

@@ -1,40 +1,45 @@
-// Canonical structural hashing of linkage rules (the "RuleHash"
-// substrate of the evaluation engine, eval/engine.h).
+// Structural hashing of linkage rules: the one hash family behind every
+// decision that asks whether two rules or subtrees are the same.
 //
-// Three related products, all pure functions of the rule's structure
-// plus the identity of its shared function objects (distance measures,
-// transformations, aggregation functions — mixed in by instance so two
-// same-named functions with different parameters never alias).
-// Deterministic within a process, which is all the engine's caches
-// need; not stable across process runs:
+// Distance measures, transformations and aggregation functions are
+// identified by registered name. Each registry holds one instance per
+// name, and the XML, s-expression and corpus-artifact formats already
+// treat the name as the function's whole identity, so the hashes are
+// pure functions of a rule's serialized form: equal in every process
+// and every build that parses the same rule text.
 //
-//   * CanonicalRuleHash — a 64-bit hash of the whole tree. Unlike
-//     LinkageRule::StructuralHash (a per-node accumulation kept for
-//     duplicate suppression), the canonical hash is domain-separated per
-//     operator kind and length-prefixed per child list, so subtree
-//     boundaries cannot alias. It keys the engine's fitness memo.
+//   * CanonicalRuleHash — a 64-bit hash of the whole tree, thresholds
+//     and weights included. It is domain-separated per operator kind
+//     and length-prefixed per child list, so subtree boundaries cannot
+//     alias. It keys the learner's breeding dedup and validation memo
+//     (gp/genlink.cc) and the engine's fitness memo (eval/engine.h),
+//     and stamps a corpus artifact with the rule it was indexed for.
+//
+//   * ValueOperatorHash — a hash of one value subtree. Two value
+//     operators with equal hashes compute the same value set for every
+//     entity. It keys the value store's transform plans
+//     (eval/value_store.h), the corpus artifact's plan directory
+//     (io/corpus_artifact.h) and MatcherIndex's query-side subtrees.
 //
 //   * ComparisonSignature — a hash of one comparison subtree that
-//     deliberately EXCLUDES the threshold and the weight: it identifies
-//     the raw-distance computation (distance measure x source value
-//     subtree x target value subtree). Two comparisons with the same
-//     signature compute the same raw distance for every entity pair,
-//     even when their thresholds differ, because the threshold is only
-//     applied afterwards (ThresholdedScore). This keys the engine's
-//     per-training-pair distance cache.
+//     EXCLUDES the threshold and the weight: distance measure x source
+//     value subtree x target value subtree. Two comparisons with the
+//     same signature compute the same raw distance for every entity
+//     pair, whatever their thresholds, because the threshold is only
+//     applied afterwards (ThresholdedScore). It keys the engine's
+//     per-training-pair distance rows. A comparison's hash inside the
+//     whole-rule hash is its signature extended by threshold and
+//     weight, so AnalyzeRule derives both in one walk.
 //
-//   * RuleHasher — a hash-consing interner. Analyzing a rule interns
-//     every subtree hash it encounters; crossover/mutation offspring
-//     share most subtrees with their parents, so the intern table's hit
-//     rate measures how much structure a generation reuses (and the
-//     engine reuses exactly the comparison subtrees via their
-//     signatures).
+// The formulas are part of the corpus-artifact format (the plan
+// directory and the header's rule stamp store them), so changing one
+// orphans every artifact already written; tests/engine_test.cc pins
+// them to values earlier builds wrote to disk.
 
 #ifndef GENLINK_RULE_RULE_HASH_H_
 #define GENLINK_RULE_RULE_HASH_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "rule/linkage_rule.h"
@@ -51,73 +56,24 @@ struct ComparisonSite {
 
 /// Everything the evaluation engine needs to know about one rule.
 struct RuleHashInfo {
-  /// Canonical whole-tree hash (thresholds and weights included).
+  /// CanonicalRuleHash of the rule.
   uint64_t canonical = 0;
   /// All comparison sites of the tree, in pre-order.
   std::vector<ComparisonSite> comparisons;
 };
 
-/// Canonical hash of the whole rule (0 for the empty rule).
+/// Hash of the whole rule, thresholds and weights included (0 for the
+/// empty rule).
 uint64_t CanonicalRuleHash(const LinkageRule& rule);
+
+/// Hash of one value subtree.
+uint64_t ValueOperatorHash(const ValueOperator& op);
 
 /// Threshold- and weight-free signature of one comparison subtree.
 uint64_t ComparisonSignature(const ComparisonOperator& op);
 
-/// Canonical hash of one value subtree — the transform-plan key of the
-/// value store (eval/value_store.h): two value operators with equal
-/// hashes compute the same value set for every entity, because the hash
-/// covers property names and transformation identity (by instance).
-uint64_t ValueOperatorHash(const ValueOperator& op);
-
-/// Cross-process-stable variant of ValueOperatorHash: transformation
-/// functions are identified by registered name instead of instance, so
-/// two processes parsing the same serialized rule compute the same
-/// hash. This is the on-disk plan-directory key of corpus artifacts
-/// (io/corpus_artifact.h); it must only key rules that round-trip
-/// through serialization, where the name IS the full function identity.
-/// A distinct domain-separation tag family guarantees the stable and
-/// in-process hashes never collide with each other.
-uint64_t StableValueOperatorHash(const ValueOperator& op);
-
-/// Cross-process-stable whole-rule hash (0 for the empty rule), the
-/// provenance stamp written into corpus artifacts. Same name-based
-/// function identity as StableValueOperatorHash; thresholds and
-/// weights included.
-uint64_t StableRuleHash(const LinkageRule& rule);
-
-/// Computes the canonical hash and collects all comparison sites.
+/// CanonicalRuleHash plus every comparison site, in one walk.
 RuleHashInfo AnalyzeRule(const LinkageRule& rule);
-
-/// Hash-consing interner over subtree hashes. Not thread-safe; the
-/// engine only calls it from its serial phases.
-class RuleHasher {
- public:
-  /// `max_entries` bounds the intern table; it is cleared when exceeded
-  /// (the probe/hit counters keep accumulating).
-  explicit RuleHasher(size_t max_entries = 1 << 18)
-      : max_entries_(max_entries) {}
-
-  /// AnalyzeRule plus interning of every similarity subtree hash.
-  RuleHashInfo Analyze(const LinkageRule& rule);
-
-  /// Number of distinct subtrees seen so far.
-  size_t distinct_subtrees() const { return interned_.size(); }
-  /// Subtrees probed / found already interned (structure reuse).
-  uint64_t subtree_probes() const { return probes_; }
-  uint64_t subtree_hits() const { return hits_; }
-
-  void Clear();
-
-  /// Records one subtree hash (called by Analyze's tree walk; exposed
-  /// for that walk and for tests).
-  void Intern(uint64_t subtree_hash);
-
- private:
-  std::unordered_set<uint64_t> interned_;
-  size_t max_entries_;
-  uint64_t probes_ = 0;
-  uint64_t hits_ = 0;
-};
 
 }  // namespace genlink
 

@@ -379,7 +379,9 @@ Result<LinkageRule> ParseRuleXml(std::string_view xml,
   auto similarity =
       BuildSimilarity(root->children[0], distances, transforms, aggregations);
   if (!similarity.ok()) return similarity.status();
-  return LinkageRule(std::move(similarity).value());
+  LinkageRule rule(std::move(similarity).value());
+  GENLINK_RETURN_IF_ERROR(rule.Validate());
+  return rule;
 }
 
 }  // namespace genlink

@@ -33,7 +33,8 @@ namespace genlink {
 std::string ToXml(const LinkageRule& rule);
 
 /// Parses a rule from the XML form. Function names resolve against the
-/// given registries.
+/// given registries; a parsed rule that fails LinkageRule::Validate
+/// returns Validate's status.
 Result<LinkageRule> ParseRuleXml(
     std::string_view xml,
     const DistanceRegistry& distances = DistanceRegistry::Default(),

@@ -525,6 +525,26 @@ TEST(RuleArtifactTest, RejectsMalformedInput) {
   auto bad_bool =
       ReadRuleArtifact("genlink-artifact v1\nuse-blocking: maybe\n---\n");
   EXPECT_FALSE(bad_bool.ok());
+
+  // A threshold that is not a finite number would match nothing (NaN)
+  // or everything (-inf) without an error.
+  for (const char* threshold : {"nan", "inf", "-inf"}) {
+    auto non_finite = ReadRuleArtifact(
+        std::string("genlink-artifact v1\nthreshold: ") + threshold +
+        "\nrule-format: sexpr\n---\n(compare levenshtein :t 1 :w 1 "
+        "(property \"name\") (property \"name\"))\n");
+    ASSERT_FALSE(non_finite.ok()) << threshold;
+    EXPECT_NE(non_finite.status().ToString().find("threshold"),
+              std::string::npos);
+  }
+
+  // The rule payload goes through LinkageRule::Validate.
+  auto nan_weight = ReadRuleArtifact(
+      "genlink-artifact v1\nthreshold: 0.5\nrule-format: sexpr\n---\n"
+      "(compare levenshtein :t 1 :w nan (property \"name\") "
+      "(property \"name\"))\n");
+  ASSERT_FALSE(nan_weight.ok());
+  EXPECT_EQ(nan_weight.status().code(), StatusCode::kInvalidArgument);
 }
 
 // Artifacts written by older builds carry `use-value-store:`. The

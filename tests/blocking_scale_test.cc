@@ -108,8 +108,10 @@ TEST(BlockingScaleTest, WeightedRecallIsOneOnRestaurant) {
   TokenBlockingOptions options;
   options.max_tokens_per_entity = kRestaurantTopTokens;
   const TokenBlockingIndex weighted(task.Target(), {}, options);
-  EXPECT_DOUBLE_EQ(
-      BlockingRecall(weighted, task.Source(), task.Target(), task.links), 1.0);
+  EXPECT_DOUBLE_EQ(MeasureBlockingQuality(weighted, task.Source(),
+                                          task.Target(), task.links)
+                       .pairs_completeness,
+                   1.0);
 }
 
 TEST(BlockingScaleTest, WeightedRecallMatchesUnweightedCeilingOnCora) {
@@ -121,11 +123,13 @@ TEST(BlockingScaleTest, WeightedRecallMatchesUnweightedCeilingOnCora) {
   TokenBlockingOptions options;
   options.max_tokens_per_entity = kCoraTopTokens;
   const TokenBlockingIndex weighted(task.Target(), {}, options);
-  const double ceiling =
-      BlockingRecall(unweighted, task.Source(), task.Target(), task.links);
-  EXPECT_DOUBLE_EQ(
-      BlockingRecall(weighted, task.Source(), task.Target(), task.links),
-      ceiling);
+  const double ceiling = MeasureBlockingQuality(unweighted, task.Source(),
+                                                task.Target(), task.links)
+                             .pairs_completeness;
+  EXPECT_DOUBLE_EQ(MeasureBlockingQuality(weighted, task.Source(),
+                                          task.Target(), task.links)
+                       .pairs_completeness,
+                   ceiling);
   EXPECT_GE(ceiling, 0.99);
 }
 

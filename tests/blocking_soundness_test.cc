@@ -13,6 +13,7 @@
 #include "datasets/noise.h"
 #include "datasets/restaurant.h"
 #include "distance/string_distances.h"
+#include "eval/blocking_stats.h"
 #include "matcher/matcher.h"
 #include "rule/builder.h"
 
@@ -94,8 +95,9 @@ TEST_F(BlockingSoundnessTest, CandidateSetsContainReferenceMatches) {
 TEST_F(BlockingSoundnessTest, BlockingRecallIsOneOnReferenceLinks) {
   LinkageRule rule = MakeRule();
   TokenBlockingIndex index(task_.Target(), TargetProperties(rule));
-  EXPECT_DOUBLE_EQ(BlockingRecall(index, task_.Source(), task_.Target(),
-                                  task_.links),
+  EXPECT_DOUBLE_EQ(MeasureBlockingQuality(index, task_.Source(),
+                                          task_.Target(), task_.links)
+                       .pairs_completeness,
                    1.0);
 }
 
@@ -103,8 +105,9 @@ TEST_F(BlockingSoundnessTest, BlockingRecallIsOneOnReferenceLinks) {
 // read specific properties) is at least as complete.
 TEST_F(BlockingSoundnessTest, AllPropertyIndexRecallIsOne) {
   TokenBlockingIndex index(task_.Target());
-  EXPECT_DOUBLE_EQ(BlockingRecall(index, task_.Source(), task_.Target(),
-                                  task_.links),
+  EXPECT_DOUBLE_EQ(MeasureBlockingQuality(index, task_.Source(),
+                                          task_.Target(), task_.links)
+                       .pairs_completeness,
                    1.0);
 }
 

@@ -231,6 +231,11 @@ TEST(CliSmokeTest, MalformedNumericFlagValuesAreRejectedByName) {
       {" learn --source a --target b --links l --match-threshold abc",
        "--match-threshold"},
       {" query --target b --rule r --threshold ,5", "--threshold"},
+      // Numbers that are not finite: `nan` compares false against every
+      // score, so accepting it would exit 0 with no links at all.
+      {" match --source a --target b --rule r --threshold nan",
+       "--threshold"},
+      {" query --target b --rule r --threshold -inf", "--threshold"},
   };
   for (const Case& c : cases) {
     std::string output;

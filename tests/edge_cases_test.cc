@@ -12,6 +12,7 @@
 #include "gp/genlink.h"
 #include "matcher/matcher.h"
 #include "rule/builder.h"
+#include "rule/rule_hash.h"
 #include "rule/serialize.h"
 
 namespace genlink {
@@ -39,9 +40,9 @@ TEST(EnsureAggregationRootTest, LeavesAggregationUntouched) {
                   .End()
                   .Build();
   ASSERT_TRUE(rule.ok());
-  uint64_t before = rule->StructuralHash();
+  uint64_t before = CanonicalRuleHash(*rule);
   EnsureAggregationRoot(*rule, AggregationRegistry::Default().Find("min"));
-  EXPECT_EQ(rule->StructuralHash(), before);
+  EXPECT_EQ(CanonicalRuleHash(*rule), before);
 }
 
 TEST(EnsureAggregationRootTest, WrappingPreservesSemantics) {
@@ -209,7 +210,7 @@ TEST_F(GenLinkEdgeTest, PopulationStaysDiverse) {
     if (stats.iteration == 0) return;  // initial population may collide
     std::set<uint64_t> hashes;
     for (const auto& ind : population.individuals()) {
-      hashes.insert(ind.rule.StructuralHash());
+      hashes.insert(CanonicalRuleHash(ind.rule));
     }
     min_distinct = std::min(min_distinct, hashes.size());
   };

@@ -8,6 +8,7 @@
 #include "gp/genlink.h"
 #include "gp/selection.h"
 #include "rule/builder.h"
+#include "rule/rule_hash.h"
 #include "rule/serialize.h"
 
 namespace genlink {
@@ -97,7 +98,7 @@ TEST_F(GenLinkToyTest, DeterministicForSameSeed) {
   auto r1 = learner.Learn(links_, nullptr, rng1);
   auto r2 = learner.Learn(links_, nullptr, rng2);
   ASSERT_TRUE(r1.ok() && r2.ok());
-  EXPECT_EQ(r1->best_rule.StructuralHash(), r2->best_rule.StructuralHash());
+  EXPECT_EQ(CanonicalRuleHash(r1->best_rule), CanonicalRuleHash(r2->best_rule));
   ASSERT_EQ(r1->trajectory.iterations.size(), r2->trajectory.iterations.size());
   for (size_t i = 0; i < r1->trajectory.iterations.size(); ++i) {
     EXPECT_DOUBLE_EQ(r1->trajectory.iterations[i].train_f1,

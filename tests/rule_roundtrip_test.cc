@@ -59,18 +59,16 @@ std::vector<CompatiblePair> MakeCompatiblePairs() {
   return pairs;
 }
 
-// Round-trips one rule through both formats and checks the canonical
-// hash (and the legacy structural hash) bit for bit.
+// Round-trips one rule through both formats and checks the rule hash
+// bit for bit.
 void ExpectRoundTrips(const LinkageRule& rule, const char* context) {
   const uint64_t canonical = CanonicalRuleHash(rule);
-  const uint64_t structural = rule.StructuralHash();
 
   std::string sexpr = ToSexpr(rule);
   auto parsed = ParseRule(sexpr);
   ASSERT_TRUE(parsed.ok()) << context << ": " << parsed.status().ToString()
                            << "\n" << sexpr;
   EXPECT_EQ(CanonicalRuleHash(*parsed), canonical) << context << "\n" << sexpr;
-  EXPECT_EQ(parsed->StructuralHash(), structural) << context << "\n" << sexpr;
 
   auto pretty = ParseRule(ToPrettySexpr(rule));
   ASSERT_TRUE(pretty.ok()) << context << ": " << pretty.status().ToString();
@@ -81,7 +79,6 @@ void ExpectRoundTrips(const LinkageRule& rule, const char* context) {
   ASSERT_TRUE(imported.ok()) << context << ": "
                              << imported.status().ToString() << "\n" << xml;
   EXPECT_EQ(CanonicalRuleHash(*imported), canonical) << context << "\n" << xml;
-  EXPECT_EQ(imported->StructuralHash(), structural) << context << "\n" << xml;
 }
 
 TEST(RuleRoundTripTest, RandomRulesAcrossAllModesRoundTripBitIdentically) {

@@ -16,6 +16,7 @@
 #include "rule/aggregation_function.h"
 #include "rule/builder.h"
 #include "rule/linkage_rule.h"
+#include "rule/rule_hash.h"
 #include "rule/rule_program.h"
 
 namespace genlink {
@@ -181,14 +182,14 @@ TEST_F(RuleTest, OperatorCountCountsAllNodes) {
 TEST_F(RuleTest, CloneIsDeepAndEqualHash) {
   LinkageRule rule = Figure2Rule();
   LinkageRule clone = rule.Clone();
-  EXPECT_EQ(rule.StructuralHash(), clone.StructuralHash());
+  EXPECT_EQ(CanonicalRuleHash(rule), CanonicalRuleHash(clone));
   // Mutating the clone must not affect the original.
   CollectComparisons(clone)[0]->set_threshold(99.0);
-  EXPECT_NE(rule.StructuralHash(), clone.StructuralHash());
+  EXPECT_NE(CanonicalRuleHash(rule), CanonicalRuleHash(clone));
   EXPECT_DOUBLE_EQ(CollectComparisons(rule)[0]->threshold(), 1.0);
 }
 
-TEST_F(RuleTest, StructuralHashDistinguishesFunctionAndShape) {
+TEST_F(RuleTest, RuleHashDistinguishesFunctionAndShape) {
   auto r1 = RuleBuilder()
                 .Compare("levenshtein", 1.0, Prop("label"), Prop("label"))
                 .Build();
@@ -196,7 +197,7 @@ TEST_F(RuleTest, StructuralHashDistinguishesFunctionAndShape) {
                 .Compare("jaccard", 1.0, Prop("label"), Prop("label"))
                 .Build();
   ASSERT_TRUE(r1.ok() && r2.ok());
-  EXPECT_NE(r1->StructuralHash(), r2->StructuralHash());
+  EXPECT_NE(CanonicalRuleHash(*r1), CanonicalRuleHash(*r2));
 }
 
 TEST_F(RuleTest, CollectorsFindAllNodes) {
@@ -226,11 +227,20 @@ TEST_F(RuleTest, ValidateRejectsNegativeThresholdAndBadWeight) {
                   .Compare("levenshtein", 1.0, Prop("label"), Prop("label"))
                   .Build();
   ASSERT_TRUE(rule.ok());
-  CollectComparisons(*rule)[0]->set_threshold(-1.0);
-  EXPECT_FALSE(rule->Validate().ok());
-  CollectComparisons(*rule)[0]->set_threshold(1.0);
-  CollectComparisons(*rule)[0]->set_weight(0.0);
-  EXPECT_FALSE(rule->Validate().ok());
+  ComparisonOperator& comparison = *CollectComparisons(*rule)[0];
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double threshold : {-1.0, nan, inf, -inf}) {
+    comparison.set_threshold(threshold);
+    EXPECT_FALSE(rule->Validate().ok()) << threshold;
+  }
+  comparison.set_threshold(1.0);
+  for (double weight : {0.0, -1.0, nan, inf}) {
+    comparison.set_weight(weight);
+    EXPECT_FALSE(rule->Validate().ok()) << weight;
+  }
+  comparison.set_weight(1.0);
+  EXPECT_TRUE(rule->Validate().ok());
 }
 
 TEST_F(RuleTest, BuilderReportsUnknownNames) {

@@ -6,6 +6,7 @@
 #include "gp/rule_generator.h"
 #include "rule/builder.h"
 #include "rule/parse.h"
+#include "rule/rule_hash.h"
 #include "rule/serialize.h"
 
 namespace genlink {
@@ -44,7 +45,7 @@ TEST(ParseTest, RoundTripPreservesStructure) {
   LinkageRule original = SampleRule();
   auto reparsed = ParseRule(ToSexpr(original));
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
-  EXPECT_EQ(original.StructuralHash(), reparsed->StructuralHash());
+  EXPECT_EQ(CanonicalRuleHash(original), CanonicalRuleHash(*reparsed));
   EXPECT_EQ(original.OperatorCount(), reparsed->OperatorCount());
 }
 
@@ -52,7 +53,7 @@ TEST(ParseTest, PrettyFormRoundTrips) {
   LinkageRule original = SampleRule();
   auto reparsed = ParseRule(ToPrettySexpr(original));
   ASSERT_TRUE(reparsed.ok());
-  EXPECT_EQ(original.StructuralHash(), reparsed->StructuralHash());
+  EXPECT_EQ(CanonicalRuleHash(original), CanonicalRuleHash(*reparsed));
 }
 
 TEST(ParseTest, QuotedPropertyNamesWithEscapes) {
@@ -78,6 +79,19 @@ TEST(ParseTest, ErrorsAreReported) {
   // Trailing garbage after a complete rule.
   EXPECT_FALSE(ParseRule("(compare levenshtein :t 1 :w 1 (property \"a\") "
                          "(property \"b\")) extra").ok());
+  // Numbers that parse but fail LinkageRule::Validate: a threshold
+  // that is NaN, infinite or negative, a weight that is NaN, infinite,
+  // zero or negative, on a comparison or an aggregation.
+  for (const char* params :
+       {":t nan :w 1", ":t inf :w 1", ":t -3 :w 1", ":t -3 :w 0",
+        ":t 1 :w nan", ":t 1 :w inf", ":t 1 :w 0", ":t 1 :w -1"}) {
+    auto rule = ParseRule(std::string("(compare levenshtein ") + params +
+                          " (property \"a\") (property \"b\"))");
+    ASSERT_FALSE(rule.ok()) << params;
+    EXPECT_EQ(rule.status().code(), StatusCode::kInvalidArgument) << params;
+  }
+  EXPECT_FALSE(ParseRule("(aggregate max :w nan (compare levenshtein :t 1 "
+                         ":w 1 (property \"a\") (property \"b\")))").ok());
 }
 
 TEST(ParseTest, TransformArityIsChecked) {
@@ -88,7 +102,7 @@ TEST(ParseTest, TransformArityIsChecked) {
 }
 
 // Property test: every randomly generated rule round-trips through
-// serialize -> parse with identical structural hash.
+// serialize -> parse with an identical rule hash.
 class SerializeRoundTripTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(SerializeRoundTripTest, RandomRulesRoundTrip) {
@@ -105,7 +119,7 @@ TEST_P(SerializeRoundTripTest, RandomRulesRoundTrip) {
     auto reparsed = ParseRule(ToSexpr(rule));
     ASSERT_TRUE(reparsed.ok())
         << reparsed.status().ToString() << "\n" << ToSexpr(rule);
-    EXPECT_EQ(rule.StructuralHash(), reparsed->StructuralHash())
+    EXPECT_EQ(CanonicalRuleHash(rule), CanonicalRuleHash(*reparsed))
         << ToSexpr(rule);
   }
 }

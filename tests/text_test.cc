@@ -1,10 +1,9 @@
-// Unit tests for the text substrate: case folding, tokenization,
-// n-grams, the Porter stemmer and Soundex.
+// Unit tests for the text substrate: case folding, tokenization, the
+// Porter stemmer and Soundex.
 
 #include <gtest/gtest.h>
 
 #include "text/case_fold.h"
-#include "text/ngram.h"
 #include "text/porter_stemmer.h"
 #include "text/soundex.h"
 #include "text/tokenizer.h"
@@ -41,19 +40,6 @@ TEST(TokenizerTest, AlnumSplitsOnPunctuationAndSpace) {
 TEST(TokenizerTest, WhitespaceKeepsPunctuation) {
   EXPECT_EQ(TokenizeWhitespace("J. Doe"),
             (std::vector<std::string>{"J.", "Doe"}));
-}
-
-TEST(NgramTest, BasicGrams) {
-  EXPECT_EQ(CharNgrams("abcd", 2),
-            (std::vector<std::string>{"ab", "bc", "cd"}));
-  EXPECT_EQ(CharNgrams("ab", 3), (std::vector<std::string>{"ab"}));
-  EXPECT_TRUE(CharNgrams("", 2).empty());
-  EXPECT_TRUE(CharNgrams("abc", 0).empty());
-}
-
-TEST(NgramTest, PaddedGrams) {
-  EXPECT_EQ(PaddedCharNgrams("ab", 2, '#'),
-            (std::vector<std::string>{"#a", "ab", "b#"}));
 }
 
 TEST(PorterStemmerTest, ClassicExamples) {

@@ -4,6 +4,7 @@
 
 #include "gp/rule_generator.h"
 #include "rule/builder.h"
+#include "rule/rule_hash.h"
 #include "rule/xml.h"
 
 namespace genlink {
@@ -36,7 +37,7 @@ TEST(XmlTest, RoundTripPreservesStructure) {
   LinkageRule original = SampleRule();
   auto reparsed = ParseRuleXml(ToXml(original));
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
-  EXPECT_EQ(original.StructuralHash(), reparsed->StructuralHash());
+  EXPECT_EQ(CanonicalRuleHash(original), CanonicalRuleHash(*reparsed));
 }
 
 TEST(XmlTest, EscapedAttributeValuesRoundTrip) {
@@ -107,10 +108,33 @@ TEST(XmlTest, ReportsStructuralErrors) {
   EXPECT_FALSE(ParseRuleXml("<LinkageRule><Compare metric=equality "
                             "threshold=\"1\"/></LinkageRule>")
                    .ok());
+  // Numbers that parse but fail LinkageRule::Validate: a threshold
+  // that is NaN, infinite or negative, a weight that is NaN, infinite,
+  // zero or negative, on a comparison or an aggregation.
+  for (const char* attributes :
+       {"threshold=\"nan\"", "threshold=\"inf\"", "threshold=\"-3\"",
+        "threshold=\"-3\" weight=\"0\"", "threshold=\"1\" weight=\"nan\"",
+        "threshold=\"1\" weight=\"inf\"", "threshold=\"1\" weight=\"0\"",
+        "threshold=\"1\" weight=\"-1\""}) {
+    auto rule = ParseRuleXml(std::string("<LinkageRule><Compare "
+                                         "metric=\"equality\" ") +
+                             attributes +
+                             "><Input path=\"x\"/><Input path=\"y\"/>"
+                             "</Compare></LinkageRule>");
+    ASSERT_FALSE(rule.ok()) << attributes;
+    EXPECT_EQ(rule.status().code(), StatusCode::kInvalidArgument)
+        << attributes;
+  }
+  EXPECT_FALSE(ParseRuleXml("<LinkageRule><Aggregate type=\"max\" "
+                            "weight=\"nan\"><Compare metric=\"equality\" "
+                            "threshold=\"1\"><Input path=\"x\"/><Input "
+                            "path=\"y\"/></Compare></Aggregate>"
+                            "</LinkageRule>")
+                   .ok());
 }
 
 // Property test: random rules round-trip through XML with identical
-// structural hashes.
+// rule hashes.
 class XmlRoundTripTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(XmlRoundTripTest, RandomRulesRoundTrip) {
@@ -124,7 +148,8 @@ TEST_P(XmlRoundTripTest, RandomRulesRoundTrip) {
     auto reparsed = ParseRuleXml(ToXml(rule));
     ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString() << "\n"
                                << ToXml(rule);
-    EXPECT_EQ(rule.StructuralHash(), reparsed->StructuralHash()) << ToXml(rule);
+    EXPECT_EQ(CanonicalRuleHash(rule), CanonicalRuleHash(*reparsed))
+        << ToXml(rule);
   }
 }
 

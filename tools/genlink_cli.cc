@@ -31,6 +31,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -525,14 +526,20 @@ int FailFlagFile(const char* command, const char* flag, const char* path,
 
 /// Parses an optional numeric flag. Returns false (after an error
 /// naming the flag, CLI exit code 2) when the value is present but
-/// does not parse — malformed numbers must never silently fall back to
-/// the default.
+/// is not a finite number — malformed numbers must never silently fall
+/// back to the default, and `nan` or `inf` must never silently match
+/// nothing.
 bool FlagAsDouble(const Args& args, const char* command, const char* name,
                   double* out) {
   const char* raw = args.Get(name);
   if (raw == nullptr) return true;
-  if (ParseDouble(raw, out)) return true;
-  std::fprintf(stderr, "genlink %s: flag '--%s' expects a number, got '%s'\n",
+  double value = 0.0;
+  if (ParseDouble(raw, &value) && std::isfinite(value)) {
+    *out = value;
+    return true;
+  }
+  std::fprintf(stderr,
+               "genlink %s: flag '--%s' expects a finite number, got '%s'\n",
                command, name, raw);
   return false;
 }

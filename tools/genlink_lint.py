@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """genlink_lint: the repo's determinism & concurrency invariant linter.
 
-The GP learner's contract (ROADMAP, docs/DETERMINISM.md) is that every
+The GP learner's contract (ROADMAP, docs/CONCURRENCY.md) is that every
 run is bit-identical for a given seed, at any thread count. Most of the
 ways to break that are not compile errors — an unordered_map iteration
 feeding output, a wall-clock call, a pointer-valued sort key — so this
